@@ -12,8 +12,8 @@ from .model import (ChainParams, ParameterError, build_chirality_operator,
                     build_hamiltonian, build_total_sz)
 from .otto import (CycleMode, CycleResult, CycleSpec, SweepRow,
                    efficiency_sweep, run_cycle, size_scaling)
-from .response import (FieldTag, fidelity_quadratic_approx, second_derivative,
-                       susceptibility, thermal_state_fidelity, uhlmann_fidelity)
+from .response import (FieldTag, fidelity_quadratic_approx, susceptibility,
+                       thermal_state_fidelity, uhlmann_fidelity)
 from .semiclassical import (ScConfig, efficiency_sc, entropy_sc,
                             free_energy_sc, heat_integral_sc,
                             perturbation_valid)
@@ -37,7 +37,7 @@ __all__ = [
     "entropy", "entropy_sc", "fidelity_quadratic_approx", "free_energy",
     "free_energy_sc", "gibbs", "heat_integral_sc", "internal_energy",
     "one_tangle", "one_tangle4", "partial_trace", "perturbation_valid",
-    "run_cycle", "second_derivative", "size_scaling", "spectrum4",
-    "susceptibility", "thermal_state_fidelity", "threshold_temperature",
-    "two_tangle", "two_tangle4", "uhlmann_fidelity",
+    "run_cycle", "size_scaling", "spectrum4", "susceptibility",
+    "thermal_state_fidelity", "threshold_temperature", "two_tangle",
+    "two_tangle4", "uhlmann_fidelity",
 ]

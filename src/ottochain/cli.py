@@ -167,6 +167,8 @@ def write_table(meta: dict, header: list, rows: list, fmt: str, out_path) -> Non
             fh.write(text)
     else:
         sys.stdout.write(text)
+    log.info("%s: %d rows to %s", meta["command"], len(rows),
+             out_path or "stdout")
 
 
 def _map_rows(fn, values, jobs: int) -> list:

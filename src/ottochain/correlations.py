@@ -132,15 +132,9 @@ def chirality_expectation(rho: DensityMatrix, k: np.ndarray) -> float:
     return float(np.real(np.trace(rho.entries @ k)))
 
 
-def thermal_two_tangle(params: ChainParams, t: float) -> float:
-    """Two-tangle of the thermal state at temperature t."""
-    spec = diagonalize_params(params)
-    rho = density_matrix(gibbs(spec, t))
-    return two_tangle(rho, params.n)
-
-
 def threshold_temperature(params: ChainParams, t_lo: float, t_hi: float) -> float:
-    """Bisection root of tau_2(T) -> 0+ between t_lo and t_hi, to 1e-3 in T.
+    """Bisection root of tau_2(T) -> 0+ between t_lo and t_hi, to 1e-3 in T,
+    on one spectrum of the ring.
 
     Requires tau_2(t_lo) > 0 and tau_2(t_hi) = 0 (tau_2 < 1e-12 counts as
     zero); raises NoThresholdError otherwise.
@@ -148,13 +142,18 @@ def threshold_temperature(params: ChainParams, t_lo: float, t_hi: float) -> floa
     lo, hi = float(t_lo), float(t_hi)
     if not lo < hi:
         raise NoThresholdError(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
-    if thermal_two_tangle(params, lo) <= TAU2_ZERO:
+    spec = diagonalize_params(params)
+
+    def entangled(t):
+        return two_tangle(density_matrix(gibbs(spec, t)), params.n) > TAU2_ZERO
+
+    if not entangled(lo):
         raise NoThresholdError(f"tau_2 already vanishes at t_lo={t_lo}")
-    if thermal_two_tangle(params, hi) > TAU2_ZERO:
+    if entangled(hi):
         raise NoThresholdError(f"tau_2 still positive at t_hi={t_hi}")
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
-        if thermal_two_tangle(params, mid) > TAU2_ZERO:
+        if entangled(mid):
             lo = mid
         else:
             hi = mid

@@ -26,7 +26,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 N_MIN = 2
-N_MAX = 14  # dense 2^n x 2^n complex storage ceiling
+N_MAX = 12  # n=12 peaks at 2.2 GB; n=13 needs 4.3 GB for its cached operators
 
 
 class ParameterError(ValueError):

@@ -1,5 +1,9 @@
-"""Mixed-state (Uhlmann) fidelity and second-derivative field
-susceptibilities, the thermal-transition detectors."""
+"""Mixed-state (Uhlmann) fidelity and field susceptibilities, the
+thermal-transition detectors.
+
+Susceptibilities are Kubo sums over the states of one spectrum (Kubo,
+J. Phys. Soc. Jpn. 12, 570 (1957)), the exact -d^2F/dzeta^2 of the Gibbs
+free energy."""
 
 from __future__ import annotations
 
@@ -8,9 +12,9 @@ import enum
 import numpy as np
 
 from .correlations import DensityMatrix, _sqrt_psd, density_matrix
-from .model import ChainParams
+from .model import ChainParams, build_chirality_operator, build_total_sz
 from .spectra import diagonalize_params
-from .thermal import free_energy, gibbs
+from .thermal import gibbs
 
 
 class FieldTag(enum.Enum):
@@ -29,33 +33,27 @@ def uhlmann_fidelity(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
     return float(np.sum(np.sqrt(np.clip(ev, 0.0, None))))
 
 
-def second_derivative(f, x: float, h: float) -> float:
-    """Central second difference with one Richardson extrapolation level."""
-    def d2(step):
-        return (f(x + step) - 2.0 * f(x) + f(x - step)) / step ** 2
-    coarse = d2(h)
-    fine = d2(h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
-
-
 def susceptibility(params: ChainParams, field: FieldTag, t: float) -> float:
-    """chi(zeta) = -d^2 F / d zeta^2 at fixed temperature.
+    """chi(zeta) = -d^2 F / d zeta^2 at fixed temperature, on one spectrum.
 
-    Finite differences with step 1e-3 * max(1, |zeta|); valid for any ring
-    size, which keeps this path free of closed forms.  All stencil points
-    share one energy reference so the cancellation in the second difference
-    happens on O(T) numbers instead of O(|F|) ones.
+    With O the operator the field couples to (total s^z or K) in the
+    eigenbasis, chi = sum_nm |O_nm|^2 w_nm - beta <O>^2, where
+    w_nm = (P_n - P_m) / (E_m - E_n), and w_nm = beta P_n for pairs closer
+    than 1e-9 max(1, max|E|).
     """
-    name = field.value
-    zeta = getattr(params, name)
-    e_ref = diagonalize_params(params).ground_energy()
-
-    def f(value):
-        spec = diagonalize_params(params.replace(**{name: value}))
-        return free_energy(spec, t, e_ref=e_ref)
-
-    h = 1e-3 * max(1.0, abs(zeta))
-    return -second_derivative(f, zeta, h)
+    spec = diagonalize_params(params)
+    p = gibbs(spec, t).populations
+    op = (build_total_sz if field is FieldTag.MAGNETIC
+          else build_chirality_operator)(params.n)
+    o = spec.states.conj().T @ op @ spec.states
+    beta = 1.0 / t
+    e = spec.energies
+    gap = e[None, :] - e[:, None]
+    close = np.abs(gap) <= 1e-9 * max(1.0, float(np.max(np.abs(e))))
+    w = np.where(close, beta * p[:, None],
+                 (p[:, None] - p[None, :]) / np.where(close, 1.0, gap))
+    mean = float(np.real(np.diagonal(o)) @ p)
+    return float(np.sum(np.abs(o) ** 2 * w)) - beta * mean ** 2
 
 
 def fidelity_quadratic_approx(beta: float, dzeta: float, chi: float) -> float:

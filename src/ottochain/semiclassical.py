@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analytic4 import spectrum4
 from .thermal import TemperatureError, _check_t
@@ -75,14 +74,15 @@ def perturbation_valid(t: float, p: float, cfg: ScConfig) -> bool:
 
 
 def heat_integral_sc(p: float, t_lo: float, t_hi: float, cfg: ScConfig) -> float:
-    """integral of T dS over [t_lo, t_hi] at fixed field, by parts:
-    [T S] - integral of S dT, with absolute quadrature tolerance 1e-8."""
+    """integral of T dS over [t_lo, t_hi] at fixed field, which is
+    U(t_hi) - U(t_lo) with U = F + T S."""
     if not 0 < t_lo < t_hi:
         raise TemperatureError(f"need 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
-    boundary = t_hi * entropy_sc(t_hi, p, cfg) - t_lo * entropy_sc(t_lo, p, cfg)
-    integral, _ = quad(lambda t: entropy_sc(t, p, cfg), t_lo, t_hi,
-                       epsabs=1e-8, limit=200)
-    return boundary - integral
+
+    def u(t):
+        return free_energy_sc(t, p, cfg) + t * entropy_sc(t, p, cfg)
+
+    return u(t_hi) - u(t_lo)
 
 
 def efficiency_sc(t_l: float, t_h: float, p: float, p1: float,

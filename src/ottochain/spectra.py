@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import ChainParams, build_hamiltonian, build_total_sz
 
@@ -128,6 +127,9 @@ def _match_step(spec_a: Spectrum, spec_b: Spectrum) -> tuple[np.ndarray, float]:
     degenerate on both sides are exempt from the worst-overlap statistic:
     any rotation inside a degenerate cluster is physically irrelevant.
     """
+    # deferred: scipy.optimize would otherwise load with every import
+    from scipy.optimize import linear_sum_assignment
+
     dim = spec_a.dim
     perm = np.empty(dim, dtype=int)
     worst = 1.0

@@ -124,12 +124,10 @@ def check_entanglement_oracle(perturb: float = 0.0) -> CheckResult:
 
 
 def check_susceptibility_oracle(perturb: float = 0.0) -> CheckResult:
-    """Finite-difference susceptibilities against the closed forms.
+    """Kubo susceptibilities against the closed forms.
 
-    Relative, with an absolute floor of 1e-3 on the reference: the finite
-    difference rides on eigensolver round-off of order |H| eps / h^2
-    (~1e-7), so exponentially small susceptibilities cannot carry a pure
-    relative tolerance.
+    Relative, with an absolute floor of 1e-3 on the reference, so that
+    exponentially small susceptibilities are compared on an absolute scale.
     """
     worst = 0.0
     for j, b, d, t in _grid_points():
@@ -139,7 +137,7 @@ def check_susceptibility_oracle(perturb: float = 0.0) -> CheckResult:
             num = susceptibility(params, tag, t)
             ana = closed(j, b, d, t) + perturb
             worst = max(worst, abs(num - ana) / max(1e-3, abs(ana)))
-    return CheckResult("susceptibilities vs closed form", worst, 1e-4)
+    return CheckResult("susceptibilities vs closed form", worst, 1e-8)
 
 
 def check_operator_invariants(perturb: float = 0.0) -> CheckResult:

@@ -1,8 +1,13 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ottochain
 from ottochain.analytic4 import spectrum4
 from ottochain.cli import main
 
@@ -55,6 +60,27 @@ def test_tangles_threshold_crossing(tmp_path):
     tau2 = np.array([float(r[header.index("tau2")]) for r in rows])
     assert tau2[ts <= 6.5].min() > 0.0
     assert np.all(tau2[ts >= 7.5] == 0.0)
+
+
+def test_tangles_logs_one_info_line(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("OTTO_LOG", "INFO")
+    caplog.set_level(logging.INFO, logger="ottochain")
+    code, _ = run_cli(
+        ["tangles", "--n", "4", "--sweep", "t:2:60:5"], tmp_path)
+    assert code == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "ottochain"]
+    assert messages == [f"tangles: 5 rows to {tmp_path / 'out.csv'}"]
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(ottochain.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); "
+         "import ottochain, ottochain.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))", src],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_tangles_chirality_zero_without_field(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ottochain import analytic4
+from ottochain import analytic4, correlations
 from ottochain.correlations import (DensityMatrix, DensityMatrixError,
                                     NoThresholdError, chirality_expectation,
                                     concurrence, density_matrix, one_tangle,
@@ -224,6 +224,19 @@ def test_threshold_temperature_weak_field_against_closed_form():
             hi = mid
     tc = threshold_temperature(ChainParams(4, 1.0, -1.0, 1.0, 1.0), 2.0, 80.0)
     assert tc == pytest.approx(0.5 * (lo + hi), abs=2e-3)
+
+
+def test_threshold_temperature_diagonalizes_once(monkeypatch):
+    calls = []
+
+    def counting(params, *args, **kwargs):
+        calls.append(params)
+        return diagonalize_params(params, *args, **kwargs)
+
+    monkeypatch.setattr(correlations, "diagonalize_params", counting)
+    tc = threshold_temperature(ChainParams(4, 1.0, -1.0, 1.0, 1.0), 2.0, 80.0)
+    assert tc == pytest.approx(6.961, abs=2e-3)
+    assert len(calls) == 1
 
 
 def test_threshold_requires_bracket():

@@ -91,7 +91,7 @@ def test_two_site_ring_double_counts_consistently():
     assert np.max(np.abs(h - expected)) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [0, 1, 15, 30])
+@pytest.mark.parametrize("n", [0, 1, 13, 14, 15, 30])
 def test_site_count_bounds(n):
     with pytest.raises(ParameterError):
         ChainParams(n)

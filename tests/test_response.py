@@ -4,14 +4,41 @@ import pytest
 from ottochain.correlations import DensityMatrix, density_matrix
 from ottochain.model import ChainParams
 from ottochain.response import (FieldTag, fidelity_quadratic_approx,
-                                second_derivative, susceptibility,
-                                thermal_state_fidelity, uhlmann_fidelity)
+                                susceptibility, thermal_state_fidelity,
+                                uhlmann_fidelity)
 from ottochain.spectra import diagonalize_params
-from ottochain.thermal import gibbs
+from ottochain.thermal import free_energy, gibbs
 
 
 def thermal_rho(params, t):
     return density_matrix(gibbs(diagonalize_params(params), t))
+
+
+def second_derivative(f, x: float, h: float) -> float:
+    """Central second difference with one Richardson extrapolation level."""
+    def d2(step):
+        return (f(x + step) - 2.0 * f(x) + f(x - step)) / step ** 2
+    coarse = d2(h)
+    fine = d2(h / 2.0)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def fd_susceptibility(params, field, t):
+    """Oracle: -d^2F/dzeta^2 by finite differences on five spectra.
+
+    Step 1e-3 * max(1, |zeta|); all stencil points share one energy
+    reference so the cancellation in the second difference happens on O(T)
+    numbers instead of O(|F|) ones.
+    """
+    name = field.value
+    zeta = getattr(params, name)
+    e_ref = diagonalize_params(params).ground_energy()
+
+    def f(value):
+        spec = diagonalize_params(params.replace(**{name: value}))
+        return free_energy(spec, t, e_ref=e_ref)
+
+    return -second_derivative(f, zeta, 1e-3 * max(1.0, abs(zeta)))
 
 
 def test_fidelity_identical_states():
@@ -73,6 +100,21 @@ def test_second_derivative_flat_function_zero():
 def test_second_derivative_quadratic_exact():
     assert second_derivative(lambda x: 3.0 * x ** 2, 0.7, 1e-3) == pytest.approx(
         6.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_kubo_susceptibility_matches_finite_differences(n):
+    # b = p = 0 is the SU(2) point, where degenerate pairs take beta P_n
+    worst = 0.0
+    for b in (0.0, 1.0):
+        for p in (0.0, 10.0):
+            params = ChainParams(n, 1.0, -1.0, b, p)
+            for t in (2.0, 10.0, 40.0):
+                for field in FieldTag:
+                    fd = fd_susceptibility(params, field, t)
+                    kubo = susceptibility(params, field, t)
+                    worst = max(worst, abs(kubo - fd) / max(1e-3, abs(fd)))
+    assert worst <= 1e-4
 
 
 def test_magnetic_susceptibility_peak_shifts_with_field():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ottochain.model import ChainParams
 from ottochain.otto import CycleMode, CycleSpec, run_cycle
@@ -89,6 +90,21 @@ def test_second_order_support_levels():
 
 def test_idle_cycle_zero_efficiency():
     assert efficiency_sc(10.0, 30.0, 2.0, 2.0, CFG) == 0.0
+
+
+def heat_by_parts(p, t_lo, t_hi):
+    """Oracle: [T S] - integral of S dT by quadrature."""
+    boundary = t_hi * entropy_sc(t_hi, p, CFG) - t_lo * entropy_sc(t_lo, p, CFG)
+    integral, _ = quad(lambda t: entropy_sc(t, p, CFG), t_lo, t_hi,
+                       epsabs=1e-8, limit=200)
+    return boundary - integral
+
+
+@pytest.mark.parametrize("t_lo,t_hi", [(1.0, 2.0), (10.0, 30.0), (100.0, 120.0)])
+@pytest.mark.parametrize("p", [0.0, 0.5, 2.0, 5.0])
+def test_heat_integral_matches_quadrature(p, t_lo, t_hi):
+    assert heat_integral_sc(p, t_lo, t_hi, CFG) == pytest.approx(
+        heat_by_parts(p, t_lo, t_hi), rel=1e-9)
 
 
 def test_heat_integral_positive_and_monotone_window():
