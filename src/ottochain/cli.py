@@ -20,8 +20,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import validation
-from .correlations import (chirality_expectation, concurrence, density_matrix,
-                           partial_trace, one_tangle)
+from .correlations import (_ring_distance_pairs, chirality_expectation,
+                           concurrence, density_matrix, partial_trace,
+                           one_tangle)
 from .model import ChainParams, ParameterError, build_chirality_operator
 from .otto import CycleMode, CycleSpec, efficiency_sweep, size_scaling
 from .response import FieldTag, susceptibility
@@ -78,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--t", type=float, default=10.0, help="temperature")
     common.add_argument("--t-hot", type=float, default=30.0)
     common.add_argument("--t-cold", type=float, default=10.0)
-    common.add_argument("--mode", choices=("quantum", "thermo"), default="thermo")
+    common.add_argument("--mode", choices=("quantum", "thermo"), default="thermo",
+                        help="Otto cycle of `otto --sweep n`; the e-field "
+                             "sweep always reports both cycles")
     common.add_argument("--sweep", action="append", type=_parse_sweep,
                         default=None, metavar="VAR:START:STOP:COUNT")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -209,21 +212,24 @@ def cmd_tangles(args) -> None:
     var, values = _single_sweep(args, ("t", "e-field"), "t", args.t)
     params = _params(args)
     k_op = build_chirality_operator(params.n)
-    distances = list(range(1, params.n // 2 + 1))
+    pairs = _ring_distance_pairs(params.n)
+    # a temperature sweep shares one spectrum
+    spec = diagonalize_params(params) if var == "t" else None
 
     def one(value):
-        p = params if var == "t" else params.replace(e_field=float(value))
-        t = float(value) if var == "t" else args.t
-        rho = density_matrix(gibbs(diagonalize_params(p), t))
-        cs = [concurrence(partial_trace(rho, [0, r])) for r in distances]
-        tau2 = sum((1 if (params.n % 2 == 0 and r == params.n // 2) else 2) * c * c
-                   for r, c in zip(distances, cs))
+        if var == "t":
+            rho = density_matrix(gibbs(spec, float(value)))
+        else:
+            p = params.replace(e_field=float(value))
+            rho = density_matrix(gibbs(diagonalize_params(p), args.t))
+        cs = [concurrence(partial_trace(rho, [0, r])) for r, _ in pairs]
+        tau2 = sum(m * c * c for (_, m), c in zip(pairs, cs))
         return ([float(value), one_tangle(rho), tau2]
                 + cs + [chirality_expectation(rho, k_op)])
 
     rows = _map_rows(one, values, args.jobs)
     header = ([var, "tau1", "tau2"]
-              + [f"c_r{r}" for r in distances] + ["chirality"])
+              + [f"c_r{r}" for r, _ in pairs] + ["chirality"])
     write_table(_meta(args), header, rows, args.format, args.out)
 
 

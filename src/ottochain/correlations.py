@@ -11,13 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SIGMA_Y, ChainParams
+from .model import ChainParams
 from .spectra import diagonalize_params
 from .thermal import GibbsState, gibbs
 
 TAU2_ZERO = 1e-12
 
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
+# s^y (x) s^y, the spin flip of the Wootters tilde
+_YY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+               dtype=complex)
 
 
 class DensityMatrixError(ValueError):
@@ -128,8 +130,9 @@ def one_tangle(rho: DensityMatrix) -> float:
 
 
 def chirality_expectation(rho: DensityMatrix, k: np.ndarray) -> float:
-    """tr(rho K), the thermal z-component of the vector chirality."""
-    return float(np.real(np.trace(rho.entries @ k)))
+    """tr(rho K) = sum_ij rho_ij K_ji, the thermal z-component of the vector
+    chirality, without forming the matrix product."""
+    return float(np.real(np.einsum("ij,ji->", rho.entries, k)))
 
 
 def threshold_temperature(params: ChainParams, t_lo: float, t_hi: float) -> float:

@@ -1,5 +1,6 @@
 """Dense operators for a periodic frustrated spin-1/2 ring in a magnetic and
-an electric field.
+an electric field, assembled on demand from bit operations on the basis
+index; only each ring size's O(n 2^n) nonzero pattern is cached.
 
 Spins are Pauli matrices (eigenvalues +-1), not S=1/2 operators.  The ring
 Hamiltonian is
@@ -17,16 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-
 N_MIN = 2
-N_MAX = 12  # n=12 peaks at 2.2 GB; n=13 needs 4.3 GB for its cached operators
+# n=12: H and K build in 0.12-0.23 s, and a spectrum plus the dense density
+# matrix peak at 1.3 GB (2-vCPU guest, one BLAS thread); one dense 2^n x 2^n
+# complex array is 268 MB there and 4x that at n=13, which was not run
+N_MAX = 12
 
 
 class ParameterError(ValueError):
@@ -75,70 +75,63 @@ def _check_n(n: int) -> None:
         raise ParameterError(f"site count {n!r} outside [{N_MIN}, {N_MAX}]")
 
 
-def _kron_chain(ops) -> np.ndarray:
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
+class _Pattern(NamedTuple):
+    """Every nonzero of the ring operators of one size, O(n 2^n) numbers."""
+
+    index: np.ndarray   # flat indices row * 2^n + col, diagonal included
+    bond1: np.ndarray   # sum_i s_i.s_{i+1} at `index`
+    bond2: np.ndarray   # sum_i s_i.s_{i+2} at `index`
+    sz: np.ndarray      # total s^z at `index`
+    k: np.ndarray       # K at `index`
 
 
-def two_site_operator(op_a: np.ndarray, site_a: int, op_b: np.ndarray,
-                      site_b: int, n: int) -> np.ndarray:
-    """op_a at site_a and op_b at site_b, identity elsewhere."""
-    ops = [IDENTITY_2] * n
-    ops[site_a] = op_a
-    ops[site_b] = op_b
-    return _kron_chain(ops)
-
-
-def single_site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    ops = [IDENTITY_2] * n
-    ops[site] = op
-    return _kron_chain(ops)
-
-
-@lru_cache(maxsize=32)
-def _exchange_bond_sum(n: int, offset: int) -> np.ndarray:
-    """sum_i s_i.s_{i+offset} over the periodic ring (literal sum, so the
-    n=2 ring double-counts its bond and n=offset couples a site to itself)."""
+@lru_cache(maxsize=None)
+def _pattern(n: int) -> _Pattern:
+    """Bit operations on the basis index: s_i.s_j is +-1 on the diagonal and
+    flips an antiparallel pair with amplitude 2; K flips the pair (i, i+1)
+    with +2i if site i was down and -2i if it was up.  The bond sums stay
+    literal, so a bond that wraps onto its own site adds s.s = 3."""
     dim = 2 ** n
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        j = (i + offset) % n
-        for s in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+    down = (np.arange(dim)[:, None] >> (n - 1 - np.arange(n))) & 1
+    spin = 1 - 2 * down
+    diag = np.zeros((dim, 4))       # columns: bond1, bond2, sz, K / i
+    diag[:, 2] = spin.sum(axis=1)
+    flats, amps = [], []
+    for col, offset in enumerate((1, 2)):
+        for i in range(n):
+            j = (i + offset) % n
             if i == j:
-                out += single_site_operator(s @ s, i, n)
-            else:
-                out += two_site_operator(s, i, s, j, n)
-    return out
+                diag[:, col] += 3.0
+                continue
+            diag[:, col] += spin[:, i] * spin[:, j]
+            src = np.flatnonzero(down[:, i] != down[:, j])
+            dst = src ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j)))
+            amp = np.zeros((src.size, 4))
+            amp[:, col] = 2.0
+            if offset == 1:
+                amp[:, 3] = np.where(down[src, i], 2.0, -2.0)
+            flats.append(dst * dim + src)
+            amps.append(amp)
+    flats.append(np.arange(dim) * (dim + 1))
+    amps.append(diag)
+    index, where = np.unique(np.concatenate(flats), return_inverse=True)
+    amp = np.zeros((index.size, 4))
+    np.add.at(amp, where, np.concatenate(amps))
+    bond1, bond2, sz, k_over_i = amp.T.copy()
+    return _Pattern(index, bond1, bond2, sz, 1j * k_over_i)
 
 
-@lru_cache(maxsize=32)
-def _total_sz_cached(n: int) -> np.ndarray:
-    dim = 2 ** n
-    diag = np.zeros(dim)
-    for i in range(n):
-        bit = 1 << (n - 1 - i)
-        for idx in range(dim):
-            diag[idx] += 1.0 if not idx & bit else -1.0
-    return np.diag(diag.astype(complex))
-
-
-@lru_cache(maxsize=32)
-def _chirality_cached(n: int) -> np.ndarray:
-    dim = 2 ** n
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        j = (i + 1) % n
-        out += two_site_operator(SIGMA_X, i, SIGMA_Y, j, n)
-        out -= two_site_operator(SIGMA_Y, i, SIGMA_X, j, n)
+def _dense(n: int, values: np.ndarray) -> np.ndarray:
+    """The 2^n x 2^n matrix with `values` at the pattern's nonzeros."""
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    out.reshape(-1)[_pattern(n).index] = values
     return out
 
 
 def build_total_sz(n: int) -> np.ndarray:
     """Diagonal matrix of total-s^z eigenvalues; conserved by H and K."""
     _check_n(n)
-    return _total_sz_cached(n).copy()
+    return _dense(n, _pattern(n).sz)
 
 
 def build_chirality_operator(n: int) -> np.ndarray:
@@ -147,14 +140,11 @@ def build_chirality_operator(n: int) -> np.ndarray:
     Hermitian, traceless and purely imaginary in the computational basis.
     """
     _check_n(n)
-    return _chirality_cached(n).copy()
+    return _dense(n, _pattern(n).k)
 
 
 def build_hamiltonian(params: ChainParams) -> np.ndarray:
     """Dense ring Hamiltonian; satisfies H(e) = H(e=0) - e*K exactly."""
-    h = -params.j1 * _exchange_bond_sum(params.n, 1)
-    h = h - params.j2 * _exchange_bond_sum(params.n, 2)
-    h = h - params.b * _total_sz_cached(params.n)
-    if params.e_field != 0.0:
-        h = h - params.e_field * _chirality_cached(params.n)
-    return h
+    pat = _pattern(params.n)
+    return _dense(params.n, -params.j1 * pat.bond1 - params.j2 * pat.bond2
+                  - params.b * pat.sz - params.e_field * pat.k)

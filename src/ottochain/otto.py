@@ -115,7 +115,8 @@ class SweepRow:
 
 def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
     """One row per swept high field: both cycle efficiencies plus the
-    tangles of the hot-bath equilibrium state at that field.
+    tangles of the hot-bath equilibrium state at that field.  `spec.mode`
+    is not read; every row carries the quantum and the thermodynamic cycle.
 
     Level maps are continued incrementally along the grid, so the whole
     sweep costs one traversal of the field range.

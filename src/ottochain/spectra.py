@@ -73,29 +73,14 @@ def sector_indices(sz_diagonal: np.ndarray):
     return {int(v): np.flatnonzero(values == v) for v in np.unique(values)}
 
 
-def diagonalize(h: np.ndarray, sz: np.ndarray, use_sectors: bool = True) -> Spectrum:
-    """Full spectrum of a Hermitian h that commutes with the diagonal sz.
-
-    With use_sectors the eigenproblem is solved block by block (mandatory
-    above n=8 for speed, exact either way).  Only the blocked path
-    guarantees sector-pure eigenvectors inside accidental cross-sector
-    degeneracies; the dense path is kept as a cross-check on energies.
-    """
+def diagonalize(h: np.ndarray, sz: np.ndarray) -> Spectrum:
+    """Full spectrum of a Hermitian h that commutes with the diagonal sz,
+    solved block by block, so every eigenvector lies in one sector even
+    inside accidental cross-sector degeneracies."""
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
         raise DiagonalizationError("matrix is not Hermitian")
     dim = h.shape[0]
     szd = np.real(np.diag(sz))
-
-    if not use_sectors:
-        try:
-            energies, states = np.linalg.eigh(h)
-        except np.linalg.LinAlgError as exc:
-            raise DiagonalizationError(str(exc)) from exc
-        sects = np.rint(
-            np.einsum("ij,i,ij->j", states.conj(), szd, states).real
-        ).astype(int)
-        return Spectrum(energies, states, sects)
-
     energies = np.empty(dim)
     states = np.zeros((dim, dim), dtype=complex)
     sects = np.empty(dim, dtype=int)
@@ -115,9 +100,15 @@ def diagonalize(h: np.ndarray, sz: np.ndarray, use_sectors: bool = True) -> Spec
     return Spectrum(energies[order], states[:, order], sects[order])
 
 
-def diagonalize_params(params: ChainParams, use_sectors: bool = True) -> Spectrum:
-    return diagonalize(build_hamiltonian(params), build_total_sz(params.n),
-                       use_sectors=use_sectors)
+def diagonalize_params(params: ChainParams) -> Spectrum:
+    return diagonalize(build_hamiltonian(params), build_total_sz(params.n))
+
+
+def _degenerate(energies: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the levels of an ascending array that have another level
+    closer than tol (in a sorted array the nearest one is a neighbour)."""
+    close = np.diff(energies) < tol
+    return np.concatenate([close, [False]]) | np.concatenate([[False], close])
 
 
 def _match_step(spec_a: Spectrum, spec_b: Spectrum) -> tuple[np.ndarray, float]:
@@ -133,7 +124,7 @@ def _match_step(spec_a: Spectrum, spec_b: Spectrum) -> tuple[np.ndarray, float]:
     dim = spec_a.dim
     perm = np.empty(dim, dtype=int)
     worst = 1.0
-    scale = max(1.0, float(np.max(np.abs(spec_a.energies))))
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(spec_a.energies))))
     for value in np.unique(spec_a.sz_sector):
         ia = np.flatnonzero(spec_a.sz_sector == value)
         ib = np.flatnonzero(spec_b.sz_sector == value)
@@ -142,13 +133,10 @@ def _match_step(spec_a: Spectrum, spec_b: Spectrum) -> tuple[np.ndarray, float]:
         overlap = np.abs(spec_a.states[:, ia].conj().T @ spec_b.states[:, ib])
         rows, cols = linear_sum_assignment(-(overlap ** 2))
         perm[ia[rows]] = ib[cols]
-        for r, c in zip(rows, cols):
-            deg_a = np.sum(np.abs(spec_a.energies[ia] - spec_a.energies[ia[r]])
-                           < 1e-9 * scale) > 1
-            deg_b = np.sum(np.abs(spec_b.energies[ib] - spec_b.energies[ib[c]])
-                           < 1e-9 * scale) > 1
-            if not (deg_a and deg_b):
-                worst = min(worst, overlap[r, c])
+        exempt = (_degenerate(spec_a.energies[ia], tol)[rows]
+                  & _degenerate(spec_b.energies[ib], tol)[cols])
+        if not exempt.all():
+            worst = min(worst, float(overlap[rows, cols][~exempt].min()))
     return perm, worst
 
 

@@ -83,6 +83,40 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_tangles_temperature_sweep_diagonalizes_once(tmp_path, monkeypatch):
+    from ottochain import cli
+    from ottochain.correlations import (chirality_expectation, concurrence,
+                                        density_matrix, one_tangle,
+                                        partial_trace)
+    from ottochain.model import ChainParams, build_chirality_operator
+    from ottochain.spectra import diagonalize_params
+    from ottochain.thermal import gibbs
+
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return diagonalize_params(params)
+
+    monkeypatch.setattr(cli, "diagonalize_params", counting)
+    code, text = run_cli(["tangles", "--n", "4", "--e-field", "20",
+                          "--sweep", "t:2:60:30"], tmp_path)
+    assert code == 0
+    assert len(calls) == 1
+    _, rows = parse_csv(text)
+    assert len(rows) == 30
+    # each row as a per-temperature diagonalization computes it
+    params = ChainParams(4, 1.0, -1.0, 1.0, 20.0)
+    k = build_chirality_operator(4)
+    for row, t in zip(rows, np.linspace(2, 60, 30)):
+        rho = density_matrix(gibbs(diagonalize_params(params), float(t)))
+        c1, c2 = (concurrence(partial_trace(rho, [0, r])) for r in (1, 2))
+        expected = [t, one_tangle(rho), 2 * c1 * c1 + c2 * c2, c1, c2,
+                    chirality_expectation(rho, k)]
+        assert [float(x) for x in row] == pytest.approx(expected, rel=1e-12,
+                                                        abs=1e-14)
+
+
 def test_tangles_chirality_zero_without_field(tmp_path):
     code, text = run_cli(
         ["tangles", "--n", "4", "--e-field", "0", "--sweep", "t:5:15:5"],

@@ -184,6 +184,14 @@ def test_chirality_against_closed_form():
         analytic4.chirality4(der), abs=1e-10)
 
 
+def test_chirality_expectation_equals_trace_of_product():
+    rho, _, _ = thermal_state(n=6, b=0.7, d=2.3, t=3.0)
+    k = build_chirality_operator(6)
+    expected = float(np.real(np.trace(rho.entries @ k)))
+    assert abs(expected) > 0.1
+    assert chirality_expectation(rho, k) == pytest.approx(expected, abs=1e-12)
+
+
 def test_two_tangle_decreases_with_field_b():
     # stronger magnetic field suppresses the pair entanglement
     values = []

