@@ -25,7 +25,7 @@ from .correlations import (_ring_distance_pairs, chirality_expectation,
                            one_tangle)
 from .model import ChainParams, ParameterError, build_chirality_operator
 from .otto import CycleMode, CycleSpec, efficiency_sweep, size_scaling
-from .response import FieldTag, susceptibility
+from .response import FieldTag, _field_operator, _kubo
 from .semiclassical import (ScConfig, entropy_sc, free_energy_sc,
                             efficiency_sc, perturbation_valid)
 from .spectra import ContinuationError, DiagonalizationError, diagonalize_params
@@ -236,11 +236,14 @@ def cmd_tangles(args) -> None:
 def cmd_susceptibility(args) -> None:
     var, values = _single_sweep(args, ("t",), "t", args.t)
     params = _params(args)
+    # every temperature shares one spectrum
+    spec = diagonalize_params(params)
+    ops = [_field_operator(field, params.n)
+           for field in (FieldTag.MAGNETIC, FieldTag.ELECTRIC)]
 
     def one(value):
         t = float(value)
-        return [t, susceptibility(params, FieldTag.MAGNETIC, t),
-                susceptibility(params, FieldTag.ELECTRIC, t)]
+        return [t] + [_kubo(spec, op, t) for op in ops]
 
     rows = _map_rows(one, values, args.jobs)
     write_table(_meta(args), ["t", "chi_b", "chi_e"], rows, args.format, args.out)

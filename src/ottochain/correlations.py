@@ -47,11 +47,15 @@ class DensityMatrix:
 
 
 def density_matrix(g: GibbsState) -> DensityMatrix:
-    """rho = sum_n P_n |psi_n><psi_n| from the Gibbs populations."""
-    v = g.spectrum.states
-    rho = (v * g.populations) @ v.conj().T
-    n = int(np.log2(rho.shape[0]))
-    return DensityMatrix(rho, tuple(range(n)))
+    """rho = sum_n P_n |psi_n><psi_n| from the Gibbs populations.  Every
+    level lies in one s^z sector, so rho is filled block by block,
+    rho[s, s] = V_s diag(P_s) V_s^dagger."""
+    dim = g.spectrum.dim
+    rho = np.zeros((dim, dim), dtype=complex)
+    for s in g.spectrum.sectors:
+        v = s.vectors
+        rho[np.ix_(s.basis, s.basis)] = (v * g.populations[s.levels]) @ v.conj().T
+    return DensityMatrix(rho, tuple(range(dim.bit_length() - 1)))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -130,9 +134,10 @@ def one_tangle(rho: DensityMatrix) -> float:
 
 
 def chirality_expectation(rho: DensityMatrix, k: np.ndarray) -> float:
-    """tr(rho K) = sum_ij rho_ij K_ji, the thermal z-component of the vector
-    chirality, without forming the matrix product."""
-    return float(np.real(np.einsum("ij,ji->", rho.entries, k)))
+    """tr(rho K) = sum_ij conj(K_ij) rho_ij for Hermitian K, the thermal
+    z-component of the vector chirality, without forming the matrix
+    product."""
+    return float(np.real(np.vdot(k, rho.entries)))
 
 
 def threshold_temperature(params: ChainParams, t_lo: float, t_hi: float) -> float:

@@ -24,8 +24,9 @@ import numpy as np
 
 N_MIN = 2
 # n=12: H and K build in 0.12-0.23 s, and a spectrum plus the dense density
-# matrix peak at 1.3 GB (2-vCPU guest, one BLAS thread); one dense 2^n x 2^n
-# complex array is 268 MB there and 4x that at n=13, which was not run
+# matrix peak at 638 MB in a fresh process (2-vCPU guest, one BLAS thread);
+# one dense 2^n x 2^n complex array is 268 MB there and 4x that at n=13,
+# which was not run
 N_MAX = 12
 
 

@@ -11,9 +11,9 @@ import enum
 
 import numpy as np
 
-from .correlations import DensityMatrix, _sqrt_psd, density_matrix
+from .correlations import DensityMatrix, _sqrt_psd
 from .model import ChainParams, build_chirality_operator, build_total_sz
-from .spectra import diagonalize_params
+from .spectra import Spectrum, diagonalize_params
 from .thermal import gibbs
 
 
@@ -24,36 +24,62 @@ class FieldTag(enum.Enum):
     ELECTRIC = "e_field"
 
 
+def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """tr sqrt(sqrt(rho0) rho1 sqrt(rho0)) as the sum of the singular values
+    of a^dagger b, for any factors rho0 = a a^dagger and rho1 = b b^dagger.
+    Singular values stay accurate where eigenvalues of rho0 and rho1 sit at
+    the round-off floor; square roots of eigenvalues of the product would
+    not."""
+    return float(np.sum(np.linalg.svd(a.conj().T @ b, compute_uv=False)))
+
+
 def uhlmann_fidelity(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
     """F = tr sqrt(sqrt(rho0) rho1 sqrt(rho0)), in [0, 1]."""
     if rho0.dim != rho1.dim:
         raise ValueError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
-    s0 = _sqrt_psd(rho0.entries)
-    ev = np.linalg.eigvalsh(s0 @ rho1.entries @ s0)
-    return float(np.sum(np.sqrt(np.clip(ev, 0.0, None))))
+    return _fidelity(_sqrt_psd(rho0.entries), _sqrt_psd(rho1.entries))
+
+
+def _field_operator(field: FieldTag, n: int) -> np.ndarray:
+    """The operator the field couples to: total s^z or K."""
+    return (build_total_sz if field is FieldTag.MAGNETIC
+            else build_chirality_operator)(n)
+
+
+def _kubo(spec: Spectrum, op: np.ndarray, t: float) -> float:
+    """-d^2F/dzeta^2 of the field coupled to op, on one spectrum.
+
+    op conserves s^z, so in the eigenbasis it is block-diagonal, with blocks
+    O_s = V_s^dagger op[s, s] V_s.  With the mean <op> taken off the
+    diagonal, chi = sum_s sum_nm |O_s,nm - <op> delta_nm|^2 w_nm, where
+    w_nm = (P_n - P_m) / (E_m - E_n) >= 0, and w_nm = beta P_n for pairs
+    closer than 1e-9 max(1, max|E|).  This equals the usual
+    sum |O_nm|^2 w_nm - beta <op>^2 without its cancellation when <op>^2
+    is large.
+    """
+    p = gibbs(spec, t).populations
+    beta = 1.0 / t
+    e = spec.energies
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(e))))
+    blocks = [(s, s.vectors.conj().T @ op[np.ix_(s.basis, s.basis)] @ s.vectors)
+              for s in spec.sectors]
+    mean = sum(float(np.real(np.diagonal(o)) @ p[s.levels]) for s, o in blocks)
+    chi = 0.0
+    for s, o in blocks:
+        o[np.diag_indices_from(o)] -= mean
+        es, ps = e[s.levels], p[s.levels]
+        gap = es[None, :] - es[:, None]
+        close = np.abs(gap) <= tol
+        w = np.where(close, beta * ps[:, None],
+                     (ps[:, None] - ps[None, :]) / np.where(close, 1.0, gap))
+        chi += float(np.sum(np.abs(o) ** 2 * w))
+    return chi
 
 
 def susceptibility(params: ChainParams, field: FieldTag, t: float) -> float:
-    """chi(zeta) = -d^2 F / d zeta^2 at fixed temperature, on one spectrum.
-
-    With O the operator the field couples to (total s^z or K) in the
-    eigenbasis, chi = sum_nm |O_nm|^2 w_nm - beta <O>^2, where
-    w_nm = (P_n - P_m) / (E_m - E_n), and w_nm = beta P_n for pairs closer
-    than 1e-9 max(1, max|E|).
-    """
-    spec = diagonalize_params(params)
-    p = gibbs(spec, t).populations
-    op = (build_total_sz if field is FieldTag.MAGNETIC
-          else build_chirality_operator)(params.n)
-    o = spec.states.conj().T @ op @ spec.states
-    beta = 1.0 / t
-    e = spec.energies
-    gap = e[None, :] - e[:, None]
-    close = np.abs(gap) <= 1e-9 * max(1.0, float(np.max(np.abs(e))))
-    w = np.where(close, beta * p[:, None],
-                 (p[:, None] - p[None, :]) / np.where(close, 1.0, gap))
-    mean = float(np.real(np.diagonal(o)) @ p)
-    return float(np.sum(np.abs(o) ** 2 * w)) - beta * mean ** 2
+    """chi(zeta) = -d^2 F / d zeta^2 at fixed temperature, as the Kubo sum
+    over the levels of one spectrum."""
+    return _kubo(diagonalize_params(params), _field_operator(field, params.n), t)
 
 
 def fidelity_quadratic_approx(beta: float, dzeta: float, chi: float) -> float:
@@ -65,10 +91,16 @@ def fidelity_quadratic_approx(beta: float, dzeta: float, chi: float) -> float:
 
 def thermal_state_fidelity(params: ChainParams, field: FieldTag, t: float,
                            dzeta: float) -> float:
-    """Uhlmann fidelity between thermal states at zeta and zeta + dzeta."""
+    """Uhlmann fidelity between thermal states at zeta and zeta + dzeta.
+
+    Both states are block-diagonal in s^z, so F is the sum over sectors of
+    the fidelity of the blocks, each factored as rho_s = X_s X_s^dagger with
+    X_s = V_s diag(sqrt P_s)."""
     name = field.value
     zeta = getattr(params, name)
-    rho0 = density_matrix(gibbs(diagonalize_params(params), t))
     shifted = params.replace(**{name: zeta + dzeta})
-    rho1 = density_matrix(gibbs(diagonalize_params(shifted), t))
-    return uhlmann_fidelity(rho0, rho1)
+    specs = [diagonalize_params(point) for point in (params, shifted)]
+    roots = [np.sqrt(gibbs(spec, t).populations) for spec in specs]
+    return float(sum(
+        _fidelity(a.vectors * roots[0][a.levels], b.vectors * roots[1][b.levels])
+        for a, b in zip(specs[0].sectors, specs[1].sectors)))

@@ -1,18 +1,20 @@
 """Diagonalization with total-s^z sector blocking, and adiabatic level
 identification across changes of the electric field.
 
-Within each magnetization sector the Hamiltonian is a dense Hermitian block;
-levels are tracked across field values by composing per-step eigenvector
-overlap matchings, which never mix sectors.
+Within each magnetization sector the Hamiltonian is a dense Hermitian block,
+and a Spectrum keeps its eigenvectors as those blocks; levels are tracked
+across field values by composing per-step eigenvector overlap matchings,
+which never mix sectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .model import ChainParams, build_hamiltonian, build_total_sz
+from .model import ChainParams, _pattern, build_hamiltonian
 
 HERMITICITY_TOL = 1e-10
 OVERLAP_THRESHOLD = 0.7
@@ -29,17 +31,40 @@ class ContinuationError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class Sector:
+    """One total-s^z block of a spectrum: the basis indices with
+    magnetization `value`, the positions of its levels in the ascending
+    order of the whole spectrum (increasing), and the d x d eigenvector
+    block whose column k is level `levels[k]` on `basis`."""
+
+    value: int
+    basis: np.ndarray
+    levels: np.ndarray
+    vectors: np.ndarray
+
+
+@dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted ascending, eigenvector columns, and the integer
-    total-s^z eigenvalue of each level."""
+    """Eigenvalues sorted ascending, the integer total-s^z eigenvalue of
+    each level, and the eigenvectors as one block per sector, in ascending
+    order of the magnetization."""
 
     energies: np.ndarray
-    states: np.ndarray
     sz_sector: np.ndarray
+    sectors: tuple[Sector, ...]
 
     @property
     def dim(self) -> int:
         return self.energies.size
+
+    @property
+    def states(self) -> np.ndarray:
+        """Dense 2^n x 2^n matrix of eigenvector columns, assembled from
+        the sector blocks."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for s in self.sectors:
+            out[np.ix_(s.basis, s.levels)] = s.vectors
+        return out
 
     def ground_energy(self) -> float:
         return float(self.energies[0])
@@ -79,29 +104,46 @@ def diagonalize(h: np.ndarray, sz: np.ndarray) -> Spectrum:
     inside accidental cross-sector degeneracies."""
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
         raise DiagonalizationError("matrix is not Hermitian")
+    return _solve(h, sector_indices(np.diag(sz)))
+
+
+@lru_cache(maxsize=None)
+def _ring_sectors(n: int):
+    """Sector partition of the ring basis, read from the diagonal of total
+    s^z in the operator pattern (its flat indices are sorted, so the
+    diagonal entries come in basis order)."""
+    pat = _pattern(n)
+    return sector_indices(pat.sz[pat.index % (2 ** n + 1) == 0])
+
+
+def diagonalize_params(params: ChainParams) -> Spectrum:
+    """Spectrum of the ring Hamiltonian, which is Hermitian and conserves
+    total s^z by construction."""
+    return _solve(build_hamiltonian(params), _ring_sectors(params.n))
+
+
+def _solve(h: np.ndarray, sectors: dict) -> Spectrum:
     dim = h.shape[0]
-    szd = np.real(np.diag(sz))
     energies = np.empty(dim)
-    states = np.zeros((dim, dim), dtype=complex)
     sects = np.empty(dim, dtype=int)
+    blocks = []
     pos = 0
-    for value, idx in sector_indices(szd).items():
-        block = h[np.ix_(idx, idx)]
+    for value, idx in sectors.items():
         try:
-            ev, vec = np.linalg.eigh(block)
+            ev, vec = np.linalg.eigh(h[np.ix_(idx, idx)])
         except np.linalg.LinAlgError as exc:
             raise DiagonalizationError(str(exc)) from exc
         k = idx.size
         energies[pos:pos + k] = ev
-        states[idx, pos:pos + k] = vec
         sects[pos:pos + k] = value
+        blocks.append((value, idx, pos, vec))
         pos += k
     order = np.argsort(energies, kind="stable")
-    return Spectrum(energies[order], states[:, order], sects[order])
-
-
-def diagonalize_params(params: ChainParams) -> Spectrum:
-    return diagonalize(build_hamiltonian(params), build_total_sz(params.n))
+    rank = np.empty(dim, dtype=int)
+    rank[order] = np.arange(dim)
+    sectors_out = tuple(Sector(value, idx, rank[start:start + idx.size], vec)
+                        for value, idx, start, vec in blocks)
+    return Spectrum(energies[order], sects[order], sectors_out)
 
 
 def _degenerate(energies: np.ndarray, tol: float) -> np.ndarray:
@@ -121,16 +163,14 @@ def _match_step(spec_a: Spectrum, spec_b: Spectrum) -> tuple[np.ndarray, float]:
     # deferred: scipy.optimize would otherwise load with every import
     from scipy.optimize import linear_sum_assignment
 
-    dim = spec_a.dim
-    perm = np.empty(dim, dtype=int)
+    perm = np.empty(spec_a.dim, dtype=int)
     worst = 1.0
     tol = 1e-9 * max(1.0, float(np.max(np.abs(spec_a.energies))))
-    for value in np.unique(spec_a.sz_sector):
-        ia = np.flatnonzero(spec_a.sz_sector == value)
-        ib = np.flatnonzero(spec_b.sz_sector == value)
-        if ia.size != ib.size:
+    for sa, sb in zip(spec_a.sectors, spec_b.sectors):
+        if sa.value != sb.value or sa.basis.size != sb.basis.size:
             raise ContinuationError("sector dimensions changed between fields")
-        overlap = np.abs(spec_a.states[:, ia].conj().T @ spec_b.states[:, ib])
+        ia, ib = sa.levels, sb.levels
+        overlap = np.abs(sa.vectors.conj().T @ sb.vectors)
         rows, cols = linear_sum_assignment(-(overlap ** 2))
         perm[ia[rows]] = ib[cols]
         exempt = (_degenerate(spec_a.energies[ia], tol)[rows]

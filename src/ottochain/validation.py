@@ -10,6 +10,7 @@ the numeric spectra so the suite's sensitivity can be demonstrated.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class CheckResult:
 def _perturbed(spec: Spectrum, perturb: float) -> Spectrum:
     if perturb == 0.0:
         return spec
-    return Spectrum(spec.energies + perturb * np.arange(spec.dim),
-                    spec.states, spec.sz_sector)
+    return dataclasses.replace(
+        spec, energies=spec.energies + perturb * np.arange(spec.dim))
 
 
 def _grid_points():

@@ -117,6 +117,34 @@ def test_tangles_temperature_sweep_diagonalizes_once(tmp_path, monkeypatch):
                                                         abs=1e-14)
 
 
+def test_susceptibility_temperature_sweep_diagonalizes_once(tmp_path, monkeypatch):
+    from ottochain import cli
+    from ottochain.model import ChainParams
+    from ottochain.response import FieldTag, susceptibility
+    from ottochain.spectra import diagonalize_params
+
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return diagonalize_params(params)
+
+    monkeypatch.setattr(cli, "diagonalize_params", counting)
+    code, text = run_cli(["susceptibility", "--n", "4", "--e-field", "2",
+                          "--sweep", "t:2:60:30"], tmp_path)
+    assert code == 0
+    assert len(calls) == 1
+    _, rows = parse_csv(text)
+    assert len(rows) == 30
+    # each row as per-temperature susceptibility calls compute it
+    params = ChainParams(4, 1.0, -1.0, 1.0, 2.0)
+    for row, t in zip(rows, np.linspace(2, 60, 30)):
+        expected = [t, susceptibility(params, FieldTag.MAGNETIC, float(t)),
+                    susceptibility(params, FieldTag.ELECTRIC, float(t))]
+        assert [float(x) for x in row] == pytest.approx(expected, rel=1e-12,
+                                                        abs=1e-14)
+
+
 def test_tangles_chirality_zero_without_field(tmp_path):
     code, text = run_cli(
         ["tangles", "--n", "4", "--e-field", "0", "--sweep", "t:5:15:5"],
