@@ -8,6 +8,7 @@ free energy."""
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,34 +47,41 @@ def _field_operator(field: FieldTag, n: int) -> np.ndarray:
             else build_chirality_operator)(n)
 
 
+@lru_cache(maxsize=None)
+def _block_pairs(sizes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For square blocks of the given sizes, flattened one after another:
+    the row and column of every entry as positions in the concatenation of
+    the blocks' levels, and the positions of the diagonal entries."""
+    starts = np.cumsum((0,) + sizes[:-1])
+    rows = np.concatenate([a + np.repeat(np.arange(d), d) for a, d in zip(starts, sizes)])
+    cols = np.concatenate([a + np.tile(np.arange(d), d) for a, d in zip(starts, sizes)])
+    return rows, cols, np.flatnonzero(rows == cols)
+
+
 def _kubo(spec: Spectrum, op: np.ndarray, t: float) -> float:
     """-d^2F/dzeta^2 of the field coupled to op, on one spectrum.
 
     op conserves s^z, so in the eigenbasis it is block-diagonal, with blocks
-    O_s = V_s^dagger op[s, s] V_s.  With the mean <op> taken off the
-    diagonal, chi = sum_s sum_nm |O_s,nm - <op> delta_nm|^2 w_nm, where
+    O_s = V_s^dagger op[s, s] V_s, and only pairs of levels inside one
+    sector enter.  With the mean <op> taken off the diagonal,
+    chi = sum_nm |O_nm - <op> delta_nm|^2 w_nm, where
     w_nm = (P_n - P_m) / (E_m - E_n) >= 0, and w_nm = beta P_n for pairs
     closer than 1e-9 max(1, max|E|).  This equals the usual
     sum |O_nm|^2 w_nm - beta <op>^2 without its cancellation when <op>^2
     is large.
     """
-    p = gibbs(spec, t).populations
-    beta = 1.0 / t
-    e = spec.energies
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(e))))
-    blocks = [(s, s.vectors.conj().T @ op[np.ix_(s.basis, s.basis)] @ s.vectors)
-              for s in spec.sectors]
-    mean = sum(float(np.real(np.diagonal(o)) @ p[s.levels]) for s, o in blocks)
-    chi = 0.0
-    for s, o in blocks:
-        o[np.diag_indices_from(o)] -= mean
-        es, ps = e[s.levels], p[s.levels]
-        gap = es[None, :] - es[:, None]
-        close = np.abs(gap) <= tol
-        w = np.where(close, beta * ps[:, None],
-                     (ps[:, None] - ps[None, :]) / np.where(close, 1.0, gap))
-        chi += float(np.sum(np.abs(o) ** 2 * w))
-    return chi
+    levels = np.concatenate([s.levels for s in spec.sectors])
+    e = spec.energies[levels]
+    p = gibbs(spec, t).populations[levels]
+    rows, cols, diagonal = _block_pairs(tuple(s.levels.size for s in spec.sectors))
+    o = np.concatenate([(s.vectors.conj().T @ op[s.block] @ s.vectors).ravel()
+                        for s in spec.sectors])
+    o[diagonal] -= np.real(o[diagonal]) @ p
+    gap = e[cols] - e[rows]
+    close = np.abs(gap) <= 1e-9 * max(1.0, float(np.max(np.abs(e))))
+    w = np.where(close, p[rows] / t,
+                 (p[rows] - p[cols]) / np.where(close, 1.0, gap))
+    return float(np.sum(np.abs(o) ** 2 * w))
 
 
 def susceptibility(params: ChainParams, field: FieldTag, t: float) -> float:

@@ -33,12 +33,14 @@ class ContinuationError(RuntimeError):
 @dataclass(frozen=True)
 class Sector:
     """One total-s^z block of a spectrum: the basis indices with
-    magnetization `value`, the positions of its levels in the ascending
-    order of the whole spectrum (increasing), and the d x d eigenvector
-    block whose column k is level `levels[k]` on `basis`."""
+    magnetization `value`, the index `block` = np.ix_(basis, basis) of the
+    sector's block in a 2^n x 2^n matrix, the positions of its levels in
+    the ascending order of the whole spectrum (increasing), and the d x d
+    eigenvector block whose column k is level `levels[k]` on `basis`."""
 
     value: int
     basis: np.ndarray
+    block: tuple
     levels: np.ndarray
     vectors: np.ndarray
 
@@ -104,46 +106,52 @@ def diagonalize(h: np.ndarray, sz: np.ndarray) -> Spectrum:
     inside accidental cross-sector degeneracies."""
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
         raise DiagonalizationError("matrix is not Hermitian")
-    return _solve(h, sector_indices(np.diag(sz)))
+    return _solve(h, _partition(np.diag(sz)))
+
+
+def _partition(sz_diagonal: np.ndarray) -> tuple:
+    """(value, basis, np.ix_(basis, basis)) for every sector."""
+    return tuple((value, idx, np.ix_(idx, idx))
+                 for value, idx in sector_indices(sz_diagonal).items())
 
 
 @lru_cache(maxsize=None)
-def _ring_sectors(n: int):
+def _ring_partition(n: int) -> tuple:
     """Sector partition of the ring basis, read from the diagonal of total
     s^z in the operator pattern (its flat indices are sorted, so the
     diagonal entries come in basis order)."""
     pat = _pattern(n)
-    return sector_indices(pat.sz[pat.index % (2 ** n + 1) == 0])
+    return _partition(pat.sz[pat.index % (2 ** n + 1) == 0])
 
 
 def diagonalize_params(params: ChainParams) -> Spectrum:
     """Spectrum of the ring Hamiltonian, which is Hermitian and conserves
     total s^z by construction."""
-    return _solve(build_hamiltonian(params), _ring_sectors(params.n))
+    return _solve(build_hamiltonian(params), _ring_partition(params.n))
 
 
-def _solve(h: np.ndarray, sectors: dict) -> Spectrum:
+def _solve(h: np.ndarray, partition: tuple) -> Spectrum:
     dim = h.shape[0]
     energies = np.empty(dim)
     sects = np.empty(dim, dtype=int)
-    blocks = []
+    solved = []
     pos = 0
-    for value, idx in sectors.items():
+    for value, idx, block in partition:
         try:
-            ev, vec = np.linalg.eigh(h[np.ix_(idx, idx)])
+            ev, vec = np.linalg.eigh(h[block])
         except np.linalg.LinAlgError as exc:
             raise DiagonalizationError(str(exc)) from exc
         k = idx.size
         energies[pos:pos + k] = ev
         sects[pos:pos + k] = value
-        blocks.append((value, idx, pos, vec))
+        solved.append((pos, vec))
         pos += k
     order = np.argsort(energies, kind="stable")
     rank = np.empty(dim, dtype=int)
     rank[order] = np.arange(dim)
-    sectors_out = tuple(Sector(value, idx, rank[start:start + idx.size], vec)
-                        for value, idx, start, vec in blocks)
-    return Spectrum(energies[order], sects[order], sectors_out)
+    sectors = tuple(Sector(value, idx, block, rank[start:start + idx.size], vec)
+                    for (value, idx, block), (start, vec) in zip(partition, solved))
+    return Spectrum(energies[order], sects[order], sectors)
 
 
 def _degenerate(energies: np.ndarray, tol: float) -> np.ndarray:
