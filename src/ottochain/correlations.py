@@ -54,7 +54,7 @@ def density_matrix(g: GibbsState) -> DensityMatrix:
     rho = np.zeros((dim, dim), dtype=complex)
     for s in g.spectrum.sectors:
         v = s.vectors
-        rho[s.block] = (v * g.populations[s.levels]) @ v.conj().T
+        rho[np.ix_(s.basis, s.basis)] = (v * g.populations[s.levels]) @ v.conj().T
     return DensityMatrix(rho, tuple(range(dim.bit_length() - 1)))
 
 

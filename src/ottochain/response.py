@@ -74,8 +74,8 @@ def _kubo(spec: Spectrum, op: np.ndarray, t: float) -> float:
     e = spec.energies[levels]
     p = gibbs(spec, t).populations[levels]
     rows, cols, diagonal = _block_pairs(tuple(s.levels.size for s in spec.sectors))
-    o = np.concatenate([(s.vectors.conj().T @ op[s.block] @ s.vectors).ravel()
-                        for s in spec.sectors])
+    o = np.concatenate([(s.vectors.conj().T @ op[np.ix_(s.basis, s.basis)]
+                         @ s.vectors).ravel() for s in spec.sectors])
     o[diagonal] -= np.real(o[diagonal]) @ p
     gap = e[cols] - e[rows]
     close = np.abs(gap) <= 1e-9 * max(1.0, float(np.max(np.abs(e))))

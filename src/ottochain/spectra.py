@@ -33,14 +33,12 @@ class ContinuationError(RuntimeError):
 @dataclass(frozen=True)
 class Sector:
     """One total-s^z block of a spectrum: the basis indices with
-    magnetization `value`, the index `block` = np.ix_(basis, basis) of the
-    sector's block in a 2^n x 2^n matrix, the positions of its levels in
-    the ascending order of the whole spectrum (increasing), and the d x d
-    eigenvector block whose column k is level `levels[k]` on `basis`."""
+    magnetization `value`, the positions of its levels in the ascending
+    order of the whole spectrum (increasing), and the d x d eigenvector
+    block whose column k is level `levels[k]` on `basis`."""
 
     value: int
     basis: np.ndarray
-    block: tuple
     levels: np.ndarray
     vectors: np.ndarray
 
@@ -106,39 +104,33 @@ def diagonalize(h: np.ndarray, sz: np.ndarray) -> Spectrum:
     inside accidental cross-sector degeneracies."""
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
         raise DiagonalizationError("matrix is not Hermitian")
-    return _solve(h, _partition(np.diag(sz)))
-
-
-def _partition(sz_diagonal: np.ndarray) -> tuple:
-    """(value, basis, np.ix_(basis, basis)) for every sector."""
-    return tuple((value, idx, np.ix_(idx, idx))
-                 for value, idx in sector_indices(sz_diagonal).items())
+    return _solve(h, sector_indices(np.diag(sz)))
 
 
 @lru_cache(maxsize=None)
-def _ring_partition(n: int) -> tuple:
+def _ring_sectors(n: int) -> dict:
     """Sector partition of the ring basis, read from the diagonal of total
     s^z in the operator pattern (its flat indices are sorted, so the
     diagonal entries come in basis order)."""
     pat = _pattern(n)
-    return _partition(pat.sz[pat.index % (2 ** n + 1) == 0])
+    return sector_indices(pat.sz[pat.index % (2 ** n + 1) == 0])
 
 
 def diagonalize_params(params: ChainParams) -> Spectrum:
     """Spectrum of the ring Hamiltonian, which is Hermitian and conserves
     total s^z by construction."""
-    return _solve(build_hamiltonian(params), _ring_partition(params.n))
+    return _solve(build_hamiltonian(params), _ring_sectors(params.n))
 
 
-def _solve(h: np.ndarray, partition: tuple) -> Spectrum:
+def _solve(h: np.ndarray, sectors: dict) -> Spectrum:
     dim = h.shape[0]
     energies = np.empty(dim)
     sects = np.empty(dim, dtype=int)
     solved = []
     pos = 0
-    for value, idx, block in partition:
+    for value, idx in sectors.items():
         try:
-            ev, vec = np.linalg.eigh(h[block])
+            ev, vec = np.linalg.eigh(h[np.ix_(idx, idx)])
         except np.linalg.LinAlgError as exc:
             raise DiagonalizationError(str(exc)) from exc
         k = idx.size
@@ -149,9 +141,9 @@ def _solve(h: np.ndarray, partition: tuple) -> Spectrum:
     order = np.argsort(energies, kind="stable")
     rank = np.empty(dim, dtype=int)
     rank[order] = np.arange(dim)
-    sectors = tuple(Sector(value, idx, block, rank[start:start + idx.size], vec)
-                    for (value, idx, block), (start, vec) in zip(partition, solved))
-    return Spectrum(energies[order], sects[order], sectors)
+    blocks = tuple(Sector(value, idx, rank[start:start + idx.size], vec)
+                   for (value, idx), (start, vec) in zip(sectors.items(), solved))
+    return Spectrum(energies[order], sects[order], blocks)
 
 
 def _degenerate(energies: np.ndarray, tol: float) -> np.ndarray:
