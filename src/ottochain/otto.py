@@ -76,28 +76,38 @@ def _heat_between_baths(spec_field: Spectrum, t_hot: float, t_cold: float) -> fl
     return float(spec_field.energies @ (p_hot - p_cold))
 
 
-def run_cycle(spec: CycleSpec, level_map: LevelMap | None = None) -> CycleResult:
-    """Evaluate one cycle.  A precomputed LevelMap from p_low to p_high may
-    be passed to quantum-mode calls that share the continuation."""
-    hi = diagonalize_params(spec.params.replace(e_field=spec.p_high))
-    lo = diagonalize_params(spec.params.replace(e_field=spec.p_low))
+def _cycle(hi: Spectrum, lo: Spectrum, t_hot: float, t_cold: float,
+           perm: np.ndarray | None = None) -> CycleResult:
+    """The cycle between the spectra at the high and the low field: the
+    thermodynamic one, or with `perm`, the adiabatic level map from the low
+    to the high field, the quantum one."""
+    if perm is None:
+        q_in = _heat_between_baths(hi, t_hot, t_cold)
+        q_out = _heat_between_baths(lo, t_hot, t_cold)
+        return _result(q_in, q_out, t_hot, t_cold)
 
-    if spec.mode is CycleMode.THERMO:
-        q_in = _heat_between_baths(hi, spec.t_hot, spec.t_cold)
-        q_out = _heat_between_baths(lo, spec.t_hot, spec.t_cold)
-        return _result(q_in, q_out, spec.t_hot, spec.t_cold)
-
-    if level_map is None:
-        level_map = continue_levels(spec.params, spec.p_low, spec.p_high)
-    perm = level_map.permutation
-    pop_cold_lo = gibbs(lo, spec.t_cold).populations
-    pop_hot_hi = gibbs(hi, spec.t_hot).populations
+    pop_cold_lo = gibbs(lo, t_cold).populations
+    pop_hot_hi = gibbs(hi, t_hot).populations
     carried_up = np.empty_like(pop_cold_lo)
     carried_up[perm] = pop_cold_lo          # cold populations on the high-field levels
     carried_down = pop_hot_hi[perm]         # hot populations back on the low-field levels
     q_in = float(hi.energies @ (pop_hot_hi - carried_up))
     q_out = float(lo.energies @ (carried_down - pop_cold_lo))
-    return _result(q_in, q_out, spec.t_hot, spec.t_cold)
+    return _result(q_in, q_out, t_hot, t_cold)
+
+
+def run_cycle(spec: CycleSpec, level_map: LevelMap | None = None) -> CycleResult:
+    """Evaluate one cycle.  A precomputed LevelMap from p_low to p_high may
+    be passed to quantum-mode calls that share the continuation; without
+    one, the continuation's own spectrum at p_high serves the cycle."""
+    lo = diagonalize_params(spec.params.replace(e_field=spec.p_low))
+    if spec.mode is CycleMode.QUANTUM and level_map is None:
+        level_map = continue_levels(spec.params, spec.p_low, spec.p_high, start=lo)
+        hi = level_map.spectrum
+    else:
+        hi = diagonalize_params(spec.params.replace(e_field=spec.p_high))
+    perm = level_map.permutation if spec.mode is CycleMode.QUANTUM else None
+    return _cycle(hi, lo, spec.t_hot, spec.t_cold, perm)
 
 
 @dataclass(frozen=True)
@@ -118,34 +128,27 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
     tangles of the hot-bath equilibrium state at that field.  `spec.mode`
     is not read; every row carries the quantum and the thermodynamic cycle.
 
-    Level maps are continued incrementally along the grid, so the whole
-    sweep costs one traversal of the field range.
+    The level map is continued from p_low through the grid in ascending
+    order, so the whole sweep costs one traversal of the field range, and
+    each node's spectrum from that traversal serves both cycles and the
+    tangles of its row; no node and not p_low is diagonalized again.
     """
     p_grid = [float(p) for p in p_grid]
     if not p_grid or any(p <= 0 for p in p_grid):
         raise ValueError("field grid must be nonempty and positive")
 
-    rows = []
-    order = np.argsort(p_grid)
-    maps: dict[int, LevelMap] = {}
-    current = None
-    anchor = spec.p_low
-    for k in order:
+    lo = diagonalize_params(spec.params.replace(e_field=spec.p_low))
+    level_map = LevelMap(np.arange(lo.dim), spec.p_low, spec.p_low, lo)
+    rows: list = [None] * len(p_grid)
+    for k in np.argsort(p_grid):
         p = p_grid[k]
-        seg = continue_levels(spec.params, anchor, p)
-        current = seg if current is None else current.compose(seg)
-        maps[k] = current
-        anchor = p
-
-    for k, p in enumerate(p_grid):
-        thermo = run_cycle(CycleSpec(spec.params, spec.t_hot, spec.t_cold,
-                                     p, spec.p_low, CycleMode.THERMO))
-        quantum = run_cycle(CycleSpec(spec.params, spec.t_hot, spec.t_cold,
-                                      p, spec.p_low, CycleMode.QUANTUM),
-                            level_map=maps[k])
-        hot_state = density_matrix(
-            gibbs(diagonalize_params(spec.params.replace(e_field=p)), spec.t_hot))
-        rows.append(SweepRow(
+        level_map = level_map.compose(continue_levels(
+            spec.params, level_map.e_to, p, start=level_map.spectrum))
+        hi = level_map.spectrum
+        thermo = _cycle(hi, lo, spec.t_hot, spec.t_cold)
+        quantum = _cycle(hi, lo, spec.t_hot, spec.t_cold, level_map.permutation)
+        hot_state = density_matrix(gibbs(hi, spec.t_hot))
+        rows[k] = SweepRow(
             p_high=p,
             ratio=p / spec.p_low if spec.p_low != 0 else float("inf"),
             eta_quantum=quantum.efficiency,
@@ -155,7 +158,7 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
             quantum_is_engine=quantum.is_engine,
             thermo_is_engine=thermo.is_engine,
             carnot=thermo.carnot,
-        ))
+        )
     return rows
 
 

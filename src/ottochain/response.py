@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .correlations import DensityMatrix, _sqrt_psd
-from .model import ChainParams, build_chirality_operator, build_total_sz
-from .spectra import Spectrum, diagonalize_params
+from .model import ChainParams, _pattern
+from .spectra import Spectrum, _ring_blocks, diagonalize_params
 from .thermal import gibbs
 
 
@@ -41,10 +41,11 @@ def uhlmann_fidelity(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
     return _fidelity(_sqrt_psd(rho0.entries), _sqrt_psd(rho1.entries))
 
 
-def _field_operator(field: FieldTag, n: int) -> np.ndarray:
-    """The operator the field couples to: total s^z or K."""
-    return (build_total_sz if field is FieldTag.MAGNETIC
-            else build_chirality_operator)(n)
+def _field_blocks(field: FieldTag, n: int) -> list[np.ndarray]:
+    """The s^z blocks of the operator the field couples to, total s^z or K,
+    in the sector order of a ring spectrum."""
+    pat = _pattern(n)
+    return _ring_blocks(n, pat.sz if field is FieldTag.MAGNETIC else pat.k)
 
 
 @lru_cache(maxsize=None)
@@ -58,8 +59,9 @@ def _block_pairs(sizes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, np.flatnonzero(rows == cols)
 
 
-def _kubo(spec: Spectrum, op: np.ndarray, t: float) -> float:
-    """-d^2F/dzeta^2 of the field coupled to op, on one spectrum.
+def _kubo(spec: Spectrum, blocks: list[np.ndarray], t: float) -> float:
+    """-d^2F/dzeta^2 of the field coupled to op, on one spectrum, from the
+    s^z blocks op[s, s] of op, one per sector of spec.
 
     op conserves s^z, so in the eigenbasis it is block-diagonal, with blocks
     O_s = V_s^dagger op[s, s] V_s, and only pairs of levels inside one
@@ -74,8 +76,8 @@ def _kubo(spec: Spectrum, op: np.ndarray, t: float) -> float:
     e = spec.energies[levels]
     p = gibbs(spec, t).populations[levels]
     rows, cols, diagonal = _block_pairs(tuple(s.levels.size for s in spec.sectors))
-    o = np.concatenate([(s.vectors.conj().T @ op[np.ix_(s.basis, s.basis)]
-                         @ s.vectors).ravel() for s in spec.sectors])
+    o = np.concatenate([(s.vectors.conj().T @ block @ s.vectors).ravel()
+                        for s, block in zip(spec.sectors, blocks)])
     o[diagonal] -= np.real(o[diagonal]) @ p
     gap = e[cols] - e[rows]
     close = np.abs(gap) <= 1e-9 * max(1.0, float(np.max(np.abs(e))))
@@ -87,7 +89,7 @@ def _kubo(spec: Spectrum, op: np.ndarray, t: float) -> float:
 def susceptibility(params: ChainParams, field: FieldTag, t: float) -> float:
     """chi(zeta) = -d^2 F / d zeta^2 at fixed temperature, as the Kubo sum
     over the levels of one spectrum."""
-    return _kubo(diagonalize_params(params), _field_operator(field, params.n), t)
+    return _kubo(diagonalize_params(params), _field_blocks(field, params.n), t)
 
 
 def fidelity_quadratic_approx(beta: float, dzeta: float, chi: float) -> float:

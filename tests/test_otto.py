@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from ottochain import otto, spectra
+from ottochain.correlations import density_matrix, one_tangle, two_tangle
 from ottochain.model import ChainParams
 from ottochain.otto import (CycleMode, CycleSpec, efficiency_sweep, run_cycle,
                             size_scaling)
-from ottochain.spectra import continue_levels
+from ottochain.spectra import continue_levels, diagonalize_params
+from ottochain.thermal import gibbs
 
 RING = ChainParams(4, 1.0, -1.0, 1.0, 0.0)
 
@@ -113,6 +116,59 @@ def test_sweep_matches_individual_cycles():
             cycle(p).efficiency, abs=1e-12)
         assert row.eta_quantum == pytest.approx(
             cycle(p, mode=CycleMode.QUANTUM).efficiency, abs=1e-9)
+
+
+def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
+    # the README's e-field sweep: p_low once, then one traversal of the
+    # grid at 64 steps per unit, 21 segments of 32 steps, whose node
+    # spectra serve both cycles and the tangles; 803 before the reuse
+    params = ChainParams(6, 1.0, -1.0, 1.0, 0.0)
+    grid = np.linspace(3.5, 14.0, 22)
+    calls = []
+
+    def counting(point):
+        calls.append(point.e_field)
+        return diagonalize_params(point)
+
+    for module in (spectra, otto):
+        monkeypatch.setattr(module, "diagonalize_params", counting)
+    rows = efficiency_sweep(CycleSpec(params, 30.0, 10.0, 14.0, 3.5), grid)
+    assert len(calls) == 673
+    assert len(set(calls)) == 673
+    monkeypatch.undo()
+
+    level_map, anchor = None, 3.5
+    for p, row in zip(grid, rows):
+        p = float(p)
+        segment = continue_levels(params, anchor, p)
+        level_map = segment if level_map is None else level_map.compose(segment)
+        anchor = p
+        thermo = run_cycle(CycleSpec(params, 30.0, 10.0, p, 3.5, CycleMode.THERMO))
+        quantum = run_cycle(CycleSpec(params, 30.0, 10.0, p, 3.5, CycleMode.QUANTUM),
+                            level_map=level_map)
+        hot = density_matrix(gibbs(diagonalize_params(params.replace(e_field=p)), 30.0))
+        assert row.p_high == p
+        assert row.eta_thermo == pytest.approx(thermo.efficiency, abs=1e-12)
+        assert row.eta_quantum == pytest.approx(quantum.efficiency, abs=1e-12)
+        assert row.thermo_is_engine == thermo.is_engine
+        assert row.quantum_is_engine == quantum.is_engine
+        assert row.tau2_hot == pytest.approx(two_tangle(hot, 6), abs=1e-12)
+        assert row.tau1_hot == pytest.approx(one_tangle(hot), abs=1e-12)
+
+
+def test_quantum_cycle_reuses_the_continuation_spectrum(monkeypatch):
+    # p_low, then the 64 steps of the continuation, which end at p_high
+    calls = []
+
+    def counting(point):
+        calls.append(point.e_field)
+        return diagonalize_params(point)
+
+    for module in (spectra, otto):
+        monkeypatch.setattr(module, "diagonalize_params", counting)
+    cycle(4.5, mode=CycleMode.QUANTUM)
+    assert len(calls) == 65
+    assert calls[0] == 3.5 and calls[-1] == 4.5
 
 
 def test_entanglement_efficiency_association():

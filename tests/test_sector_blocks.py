@@ -81,3 +81,26 @@ def test_production_paths_never_read_dense_states(monkeypatch):
         susceptibility(params, field, 5.0)
         thermal_state_fidelity(params, field, 5.0, FIDELITY_STEP)
     continue_levels(params, 0.5, 3.0)
+
+
+def test_production_paths_build_no_dense_operator(monkeypatch, tmp_path):
+    from ottochain import model
+    from ottochain.cli import main
+    from ottochain.correlations import chirality_expectation
+    from ottochain.otto import CycleMode, CycleSpec, efficiency_sweep
+
+    def dense(n, values):
+        raise AssertionError("a production path built a dense operator")
+
+    monkeypatch.setattr(model, "_dense", dense)
+    params = ChainParams(4, 1.0, -1.0, 1.0, 2.0)
+    spec = diagonalize_params(params)
+    chirality_expectation(density_matrix(gibbs(spec, 5.0)))
+    for field in FieldTag:
+        susceptibility(params, field, 5.0)
+        thermal_state_fidelity(params, field, 5.0, FIDELITY_STEP)
+    efficiency_sweep(CycleSpec(params, 30.0, 10.0, 6.0, 3.5, CycleMode.QUANTUM),
+                     [4.0, 6.0])
+    for command in ("susceptibility", "tangles"):
+        assert main([command, "--n", "4", "--sweep", "t:2:20:3",
+                     "--out", str(tmp_path / f"{command}.csv")]) == 0

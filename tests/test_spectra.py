@@ -183,3 +183,25 @@ def test_match_step_equals_pairwise_loop(n, b, path):
         perm_loop, worst_loop = match_step_loop(spec_a, spec_b)
         assert np.array_equal(perm, perm_loop)
         assert worst == worst_loop
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("b", [0.0, 1.0])
+def test_pattern_blocks_equal_dense_oracle(n, b):
+    # the production solve fills its s^z blocks straight from the operator
+    # pattern; the oracle slices them out of the dense Hamiltonian
+    sz = build_total_sz(n)
+    for p in (0.0, 1.0, 10.0):
+        for j1, j2 in ((1.0, -1.0), (0.0, 0.0), (0.7, 0.3)):
+            params = ChainParams(n, j1, j2, b, p)
+            h = build_hamiltonian(params)
+            oracle = diagonalize(h, sz)
+            spec = diagonalize_params(params)
+            scale = max(1.0, float(np.max(np.abs(oracle.energies))))
+            assert np.max(np.abs(spec.energies - oracle.energies)) <= 1e-12 * scale
+            assert np.array_equal(spec.sz_sector, oracle.sz_sector)
+            for s in spec.sectors:
+                assert np.all(np.diff(s.levels) > 0)
+                residual = h[:, s.basis] @ s.vectors
+                residual[s.basis] -= s.vectors * spec.energies[s.levels]
+                assert np.max(np.abs(residual)) <= 1e-12 * scale
