@@ -1,8 +1,8 @@
 """Operators of a periodic frustrated spin-1/2 ring in a magnetic and an
 electric field, from bit operations on the basis index; only each ring
 size's O(n 2^n) nonzero pattern is cached.  The spectra assemble their
-s^z blocks straight from that pattern; the dense builders here serve the
-validation suite and the tests.
+s^z blocks straight from that pattern; the dense `build_*` functions here
+serve the validation suite and the tests.
 
 Spins are Pauli matrices (eigenvalues +-1), not S=1/2 operators.  The ring
 Hamiltonian is
