@@ -98,11 +98,14 @@ def _cycle(hi: Spectrum, lo: Spectrum, t_hot: float, t_cold: float,
 
 def run_cycle(spec: CycleSpec, level_map: LevelMap | None = None) -> CycleResult:
     """Evaluate one cycle.  A precomputed LevelMap from p_low to p_high may
-    be passed to quantum-mode calls that share the continuation; without
-    one, the continuation's own spectrum at p_high serves the cycle."""
+    be passed to quantum-mode calls that share the continuation; the
+    spectrum at p_high that the map carries, or that the cycle's own
+    continuation reaches, serves the cycle."""
     lo = diagonalize_params(spec.params.replace(e_field=spec.p_low))
     if spec.mode is CycleMode.QUANTUM and level_map is None:
         level_map = continue_levels(spec.params, spec.p_low, spec.p_high, start=lo)
+    if (level_map is not None and level_map.e_to == spec.p_high
+            and level_map.spectrum is not None):
         hi = level_map.spectrum
     else:
         hi = diagonalize_params(spec.params.replace(e_field=spec.p_high))

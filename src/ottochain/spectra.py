@@ -6,7 +6,9 @@ The ring's blocks are filled straight from the operator pattern into one
 buffer, and the blocks of equal size are solved by one stacked eigensolve;
 a Spectrum keeps its eigenvectors as those blocks.  Levels are tracked
 across field values by composing per-step eigenvector overlap matchings,
-which never mix sectors.
+which never mix sectors; the continuation solves and matches a chunk of
+consecutive fields at a time, with the blocks of all its fields in one
+stack per block size.
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ChainParams, _hamiltonian_values, _pattern
+from .model import ChainParams, _field_free_values, _pattern
 
 HERMITICITY_TOL = 1e-10
 OVERLAP_THRESHOLD = 0.7
 MAX_REFINEMENT = 2 ** 10
 DEFAULT_STEPS_PER_UNIT = 64
+# continue_levels solves the fields of its grid in chunks whose block
+# buffers fill at most this many bytes (8 fields at n=6, 1 from n=8): this
+# bounds its memory and the work a continuation that fails early wastes
+CHUNK_BYTES = 2 ** 17
 
 
 class DiagonalizationError(RuntimeError):
@@ -135,13 +141,6 @@ def _layout(sectors: dict) -> _Layout:
                    tuple(groups), start)
 
 
-def _stacks(layout: _Layout, buf: np.ndarray):
-    """(sector positions, (m, d, d) block stack) of a filled buffer, per
-    block size."""
-    for d, members, start in layout.groups:
-        yield members, buf[start:start + members.size * d * d].reshape(-1, d, d)
-
-
 @lru_cache(maxsize=None)
 def _ring_plan(n: int) -> tuple[_Layout, np.ndarray]:
     """The s^z block layout of the ring basis and, for every nonzero of
@@ -165,55 +164,55 @@ def _ring_plan(n: int) -> tuple[_Layout, np.ndarray]:
     return layout, offset[row] + local[row] * width[row] + local[col]
 
 
-def _ring_buffer(n: int, values: np.ndarray) -> tuple[_Layout, np.ndarray]:
-    """The ring layout and its buffer filled with `values`, given at the
-    nonzeros of `_pattern(n)`."""
-    layout, target = _ring_plan(n)
-    buf = np.zeros(layout.size, dtype=complex)
-    buf[target] = values
-    return layout, buf
-
-
 def _ring_blocks(n: int, values: np.ndarray) -> list[np.ndarray]:
     """The s^z blocks of the ring operator with `values` at the nonzeros of
     `_pattern(n)`, in ascending order of the magnetization, like the
     sectors of a ring spectrum."""
-    layout, buf = _ring_buffer(n, values)
+    layout, target = _ring_plan(n)
+    buf = np.zeros(layout.size, dtype=complex)
+    buf[target] = values
     out = [None] * len(layout.sectors)
-    for members, stack in _stacks(layout, buf):
-        for s, block in zip(members, stack):
+    for d, members, start in layout.groups:
+        for s, block in zip(members, buf[start:start + members.size * d * d].reshape(-1, d, d)):
             out[s] = block
     return out
 
 
-def diagonalize(h: np.ndarray, sz: np.ndarray) -> Spectrum:
-    """Full spectrum of a Hermitian h that commutes with the diagonal sz,
-    solved block by block, so every eigenvector lies in one sector even
-    inside accidental cross-sector degeneracies."""
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
-        raise DiagonalizationError("matrix is not Hermitian")
-    layout = _layout(sector_indices(np.diag(sz)))
-    bases = [layout.sectors[s][1] for _, members, _ in layout.groups for s in members]
-    return _solve(layout, np.concatenate([h[np.ix_(b, b)].ravel() for b in bases]))
-
-
-def diagonalize_params(params: ChainParams) -> Spectrum:
-    """Spectrum of the ring Hamiltonian, which is Hermitian and conserves
-    total s^z by construction; its s^z blocks are filled straight from the
-    operator pattern, without a dense matrix."""
-    return _solve(*_ring_buffer(params.n, _hamiltonian_values(params)))
-
-
-def _solve(layout: _Layout, buf: np.ndarray) -> Spectrum:
-    """One stacked eigensolve per block size of a filled buffer."""
-    values = [None] * len(layout.sectors)
-    vectors = [None] * len(layout.sectors)
-    for members, stack in _stacks(layout, buf):
+def _eigh_stacks(layout: _Layout, buf: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of c filled buffers (c, layout.size), solved by one stacked
+    eigensolve per block size: per entry of `layout.groups`, eigenvalues
+    (c, m, d) and eigenvectors (c, m, d, d)."""
+    out = []
+    for d, members, start in layout.groups:
+        stack = buf[:, start:start + members.size * d * d].reshape(-1, d, d)
         try:
             ev, vec = np.linalg.eigh(stack)
         except np.linalg.LinAlgError as exc:
             raise DiagonalizationError(str(exc)) from exc
-        for s, e, v in zip(members, ev, vec):
+        out.append((ev.reshape(buf.shape[0], members.size, d),
+                    vec.reshape(buf.shape[0], members.size, d, d)))
+    return out
+
+
+def _solve_fields(params: ChainParams, fields) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ring's s^z blocks solved at every electric field in `fields` (the
+    e_field of params is not read), as `_eigh_stacks` returns them.  The
+    buffers are filled in one assignment from the field-free values, with
+    the terms of `_hamiltonian_values` in its order, so each field's blocks
+    are bit for bit those of its own Hamiltonian."""
+    layout, target = _ring_plan(params.n)
+    fields = np.asarray(fields, dtype=float)
+    buf = np.zeros((fields.size, layout.size), dtype=complex)
+    buf[:, target] = _field_free_values(params) - fields[:, None] * _pattern(params.n).k
+    return _eigh_stacks(layout, buf)
+
+
+def _spectrum(layout: _Layout, solved, i: int) -> Spectrum:
+    """The Spectrum of field i of `solved`, the output of `_eigh_stacks`."""
+    values = [None] * len(layout.sectors)
+    vectors = [None] * len(layout.sectors)
+    for (_, members, _), (ev, vec) in zip(layout.groups, solved):
+        for s, e, v in zip(members, ev[i], vec[i]):
             values[s], vectors[s] = e, v
     energies = np.concatenate(values)
     order = np.argsort(energies, kind="stable")
@@ -224,43 +223,100 @@ def _solve(layout: _Layout, buf: np.ndarray) -> Spectrum:
     return Spectrum(energies[order], layout.labels[order], blocks)
 
 
-def _degenerate(spec: Spectrum, tol: float) -> np.ndarray:
-    """Mask of the levels that have another level of their own sector
-    closer than tol (a sector's levels ascend, so the nearest one is a
-    neighbour)."""
-    levels = np.concatenate([s.levels for s in spec.sectors])
-    close = ((np.diff(spec.energies[levels]) < tol)
-             & (np.diff(spec.sz_sector[levels]) == 0))
-    mask = np.empty(spec.dim, dtype=bool)
-    mask[levels] = np.concatenate([close, [False]]) | np.concatenate([[False], close])
-    return mask
+def _stacked(layout: _Layout, specs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Spectra whose sectors follow `layout`, in the form `_eigh_stacks`
+    returns, one entry of the leading axis per spectrum."""
+    return [(np.array([[spec.energies[spec.sectors[s].levels] for s in members]
+                       for spec in specs]),
+             np.array([[spec.sectors[s].vectors for s in members] for spec in specs]))
+            for _, members, _ in layout.groups]
 
 
-def _match_step(spec_a: Spectrum, spec_b: Spectrum) -> tuple[np.ndarray, float]:
-    """Within-sector assignment maximizing total squared overlap.
+def _levels(spec: Spectrum) -> np.ndarray:
+    """Position in the ascending order of each level, listed sector after
+    sector as the layout concatenates them."""
+    return np.concatenate([s.levels for s in spec.sectors])
 
-    Returns (permutation a->b, worst matched |overlap|).  Levels that are
-    degenerate on both sides are exempt from the worst-overlap statistic:
-    any rotation inside a degenerate cluster is physically irrelevant.
+
+def diagonalize(h: np.ndarray, sz: np.ndarray) -> Spectrum:
+    """Full spectrum of a Hermitian h that commutes with the diagonal sz,
+    solved block by block, so every eigenvector lies in one sector even
+    inside accidental cross-sector degeneracies."""
+    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
+        raise DiagonalizationError("matrix is not Hermitian")
+    layout = _layout(sector_indices(np.diag(sz)))
+    bases = [layout.sectors[s][1] for _, members, _ in layout.groups for s in members]
+    buf = np.concatenate([h[np.ix_(b, b)].ravel() for b in bases])
+    return _spectrum(layout, _eigh_stacks(layout, buf[None]), 0)
+
+
+def diagonalize_params(params: ChainParams) -> Spectrum:
+    """Spectrum of the ring Hamiltonian, which is Hermitian and conserves
+    total s^z by construction; its s^z blocks are filled straight from the
+    operator pattern, without a dense matrix."""
+    return _spectrum(_ring_plan(params.n)[0], _solve_fields(params, [params.e_field]), 0)
+
+
+def _match(layout: _Layout, span) -> tuple[np.ndarray, np.ndarray]:
+    """Within-sector assignments maximizing the total squared overlap,
+    between consecutive fields of `span` (s + 1 fields in the form
+    `_eigh_stacks` returns).
+
+    Returns, per step, the position at the later field of every level, as
+    positions in the layout's concatenation of the sectors' levels (s, dim),
+    and the worst matched |overlap| (s,).  Levels that have a neighbour in
+    their sector closer than 1e-9 max(1, max|E|), with E the energies at the
+    earlier field, on both sides of the step are exempt from the
+    worst-overlap statistic: any rotation inside a degenerate cluster is
+    physically irrelevant.
+
+    An overlap block is unitary, so its rows have unit norm; when every
+    diagonal |O_kk|^2 exceeds 1/2 (with a 1e-6 margin for round-off), every
+    other entry of a row is below its diagonal one, and the identity is the
+    unique maximizer, which `linear_sum_assignment` would return.  Only the
+    other blocks are passed to it.
     """
     # deferred: scipy.optimize would otherwise load with every import
     from scipy.optimize import linear_sum_assignment
 
-    perm = np.empty(spec_a.dim, dtype=int)
-    worst = 1.0
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(spec_a.energies))))
-    deg_a, deg_b = _degenerate(spec_a, tol), _degenerate(spec_b, tol)
+    steps = span[0][0].shape[0] - 1
+    scale = np.max([np.abs(ev[:-1]).max(axis=(1, 2)) for ev, _ in span], axis=0)
+    tol = 1e-9 * np.maximum(1.0, scale)[:, None, None]
+    moves = np.empty((steps, layout.labels.size), dtype=int)
+    worst = np.ones(steps)
+    for (d, members, _), (ev, vec) in zip(layout.groups, span):
+        gap = np.diff(ev, axis=-1)
+        degenerate = []
+        for close in (gap[:-1] < tol, gap[1:] < tol):
+            mask = np.zeros(close.shape[:-1] + (d,), dtype=bool)
+            mask[..., 1:] = close
+            mask[..., :-1] |= close
+            degenerate.append(mask)
+        overlap = np.abs(np.matmul(vec[:-1].conj().swapaxes(-1, -2), vec[1:]))
+        matched = np.diagonal(overlap, axis1=-2, axis2=-1).copy()
+        exempt = degenerate[0] & degenerate[1]
+        pos = layout.starts[members][:, None] + np.arange(d)
+        moves[:, pos] = pos
+        for i, j in zip(*np.nonzero(~np.all(matched ** 2 > 0.5 + 1e-6, axis=-1))):
+            cols = linear_sum_assignment(-(overlap[i, j] ** 2))[1]
+            matched[i, j] = overlap[i, j, np.arange(d), cols]
+            exempt[i, j] = degenerate[0][i, j] & degenerate[1][i, j, cols]
+            moves[i, pos[j]] = pos[j, cols]
+        worst = np.minimum(worst, np.where(exempt, 1.0, matched).min(axis=(1, 2)))
+    return moves, worst
+
+
+def _match_step(spec_a: Spectrum, spec_b: Spectrum) -> tuple[np.ndarray, float]:
+    """`_match` for one step between two spectra: (permutation a->b of the
+    level indices, worst matched |overlap|)."""
     for sa, sb in zip(spec_a.sectors, spec_b.sectors):
         if sa.value != sb.value or sa.basis.size != sb.basis.size:
             raise ContinuationError("sector dimensions changed between fields")
-        ia, ib = sa.levels, sb.levels
-        overlap = np.abs(sa.vectors.conj().T @ sb.vectors)
-        rows, cols = linear_sum_assignment(-(overlap ** 2))
-        perm[ia[rows]] = ib[cols]
-        exempt = deg_a[ia[rows]] & deg_b[ib[cols]]
-        if not exempt.all():
-            worst = min(worst, float(overlap[rows, cols][~exempt].min()))
-    return perm, worst
+    layout = _layout({s.value: s.basis for s in spec_a.sectors})
+    moves, worst = _match(layout, _stacked(layout, (spec_a, spec_b)))
+    perm = np.empty(spec_a.dim, dtype=int)
+    perm[_levels(spec_a)] = _levels(spec_b)[moves[0]]
+    return perm, float(worst[0])
 
 
 def continue_levels(params: ChainParams, e_from: float, e_to: float,
@@ -274,6 +330,11 @@ def continue_levels(params: ChainParams, e_from: float, e_to: float,
     if given, must be the spectrum of params at e_from, which is then not
     diagonalized again.  The map carries the spectrum it reached at e_to
     (`start` when the two fields are equal).
+
+    The grid fields are solved and matched in chunks of consecutive fields
+    whose block buffers fill at most CHUNK_BYTES, one stacked eigensolve per
+    block size each; a level is followed by its position inside its sector,
+    and only the spectrum at e_to is assembled.
     """
     if steps is None:
         steps = max(1, int(np.ceil(DEFAULT_STEPS_PER_UNIT * abs(e_to - e_from))))
@@ -284,13 +345,33 @@ def continue_levels(params: ChainParams, e_from: float, e_to: float,
         return LevelMap(np.arange(dim), e_from, e_to, start)
 
     grid = np.linspace(e_from, e_to, steps + 1)
-    spec_prev = (diagonalize_params(params.replace(e_field=float(grid[0])))
-                 if start is None else start)
-    perm = np.arange(dim)
-    for a, b in zip(grid[:-1], grid[1:]):
-        spec_prev, step_perm = _refine_step(params, spec_prev, float(a), float(b), 1)
-        perm = step_perm[perm]
-    return LevelMap(perm, e_from, e_to, spec_prev)
+    if start is None:
+        start = diagonalize_params(params.replace(e_field=float(grid[0])))
+    layout = _ring_plan(params.n)[0]
+    chunk = max(1, CHUNK_BYTES // (16 * layout.size))  # complex entries
+    prev = _stacked(layout, (start,))
+    track = np.arange(dim)
+    for first in range(1, steps + 1, chunk):
+        fields = grid[first:first + chunk]
+        span = [(np.concatenate([pe, ev]), np.concatenate([pv, vec]))
+                for (pe, pv), (ev, vec) in zip(prev, _solve_fields(params, fields))]
+        moves, worst = _match(layout, span)
+        for i, b in enumerate(fields):
+            if worst[i] >= OVERLAP_THRESHOLD:
+                track = moves[i][track]
+                continue
+            spec_a = _spectrum(layout, span, i)
+            spec_b, perm = _bisect(params, spec_a, float(grid[first + i - 1]),
+                                   float(b), 1)
+            position = np.empty(dim, dtype=int)
+            position[_levels(spec_b)] = np.arange(dim)
+            track = position[perm[_levels(spec_a)]][track]
+        # copies, so that the spectrum at e_to does not hold the whole chunk
+        prev = [(ev[-1:].copy(), vec[-1:].copy()) for ev, vec in span]
+    end = _spectrum(layout, prev, 0)
+    perm = np.empty(dim, dtype=int)
+    perm[_levels(start)] = _levels(end)[track]
+    return LevelMap(perm, e_from, e_to, end)
 
 
 def _refine_step(params: ChainParams, spec_a: Spectrum, a: float, b: float,
@@ -303,6 +384,12 @@ def _refine_step(params: ChainParams, spec_a: Spectrum, a: float, b: float,
         raise ContinuationError(
             f"ambiguous level matching near e_field={b:g} "
             f"(worst overlap {worst:.3f} at maximum refinement)")
+    return _bisect(params, spec_a, a, b, factor)
+
+
+def _bisect(params: ChainParams, spec_a: Spectrum, a: float, b: float,
+            factor: int) -> tuple[Spectrum, np.ndarray]:
+    """The step from a to b as two half steps, each refined again."""
     mid = 0.5 * (a + b)
     spec_m, left = _refine_step(params, spec_a, a, mid, factor * 2)
     spec_b, right = _refine_step(params, spec_m, mid, b, factor * 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from ottochain import otto, spectra
+from ottochain import spectra
 from ottochain.correlations import density_matrix, one_tangle, two_tangle
 from ottochain.model import ChainParams
 from ottochain.otto import (CycleMode, CycleSpec, efficiency_sweep, run_cycle,
@@ -118,20 +118,28 @@ def test_sweep_matches_individual_cycles():
             cycle(p, mode=CycleMode.QUANTUM).efficiency, abs=1e-9)
 
 
+def count_solves(monkeypatch):
+    """The fields solved from now on, one entry per field of every stack
+    that `spectra._solve_fields` solves: every ring spectrum, of
+    `diagonalize_params` and of the continuation, is solved there."""
+    calls = []
+    solve = spectra._solve_fields
+
+    def counting(params, fields):
+        calls.extend(float(f) for f in fields)
+        return solve(params, fields)
+
+    monkeypatch.setattr(spectra, "_solve_fields", counting)
+    return calls
+
+
 def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
     # the README's e-field sweep: p_low once, then one traversal of the
     # grid at 64 steps per unit, 21 segments of 32 steps, whose node
     # spectra serve both cycles and the tangles; 803 before the reuse
     params = ChainParams(6, 1.0, -1.0, 1.0, 0.0)
     grid = np.linspace(3.5, 14.0, 22)
-    calls = []
-
-    def counting(point):
-        calls.append(point.e_field)
-        return diagonalize_params(point)
-
-    for module in (spectra, otto):
-        monkeypatch.setattr(module, "diagonalize_params", counting)
+    calls = count_solves(monkeypatch)
     rows = efficiency_sweep(CycleSpec(params, 30.0, 10.0, 14.0, 3.5), grid)
     assert len(calls) == 673
     assert len(set(calls)) == 673
@@ -158,17 +166,23 @@ def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
 
 def test_quantum_cycle_reuses_the_continuation_spectrum(monkeypatch):
     # p_low, then the 64 steps of the continuation, which end at p_high
-    calls = []
-
-    def counting(point):
-        calls.append(point.e_field)
-        return diagonalize_params(point)
-
-    for module in (spectra, otto):
-        monkeypatch.setattr(module, "diagonalize_params", counting)
+    calls = count_solves(monkeypatch)
     cycle(4.5, mode=CycleMode.QUANTUM)
     assert len(calls) == 65
     assert calls[0] == 3.5 and calls[-1] == 4.5
+
+
+@pytest.mark.parametrize("mode", [CycleMode.THERMO, CycleMode.QUANTUM])
+def test_mapped_cycle_reuses_the_map_spectrum(monkeypatch, mode):
+    # a map that reaches p_high carries its spectrum there: only p_low is
+    # solved, and the cycle is the one computed without the map
+    level_map = continue_levels(RING, 3.5, 9.0)
+    spec = CycleSpec(RING, 30.0, 10.0, 9.0, 3.5, mode)
+    calls = count_solves(monkeypatch)
+    with_map = run_cycle(spec, level_map=level_map)
+    assert calls == [3.5]
+    monkeypatch.undo()
+    assert with_map == run_cycle(spec)
 
 
 def test_entanglement_efficiency_association():

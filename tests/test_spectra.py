@@ -3,9 +3,10 @@ import pytest
 
 from ottochain.analytic4 import spectrum4
 from ottochain.model import ChainParams, build_hamiltonian, build_total_sz
-from ottochain.spectra import (DiagonalizationError, _match_step,
-                               continue_levels, diagonalize,
-                               diagonalize_params)
+from ottochain import spectra
+from ottochain.spectra import (ContinuationError, DiagonalizationError,
+                               Sector, Spectrum, _match_step, continue_levels,
+                               diagonalize, diagonalize_params)
 
 
 def match_step_loop(spec_a, spec_b):
@@ -15,10 +16,11 @@ def match_step_loop(spec_a, spec_b):
     perm = np.empty(spec_a.dim, dtype=int)
     worst = 1.0
     scale = max(1.0, float(np.max(np.abs(spec_a.energies))))
+    states_a, states_b = spec_a.states, spec_b.states
     for value in np.unique(spec_a.sz_sector):
         ia = np.flatnonzero(spec_a.sz_sector == value)
         ib = np.flatnonzero(spec_b.sz_sector == value)
-        overlap = np.abs(spec_a.states[:, ia].conj().T @ spec_b.states[:, ib])
+        overlap = np.abs(states_a[:, ia].conj().T @ states_b[:, ib])
         rows, cols = linear_sum_assignment(-(overlap ** 2))
         perm[ia[rows]] = ib[cols]
         for r, c in zip(rows, cols):
@@ -29,6 +31,37 @@ def match_step_loop(spec_a, spec_b):
             if not (deg_a and deg_b):
                 worst = min(worst, overlap[r, c])
     return perm, worst
+
+
+def continue_levels_loop(params, e_from, e_to, steps=None):
+    """The per-step continuation: one `diagonalize_params` and one
+    `match_step_loop` per grid step, bisecting a step whose worst overlap
+    falls below 0.7 down to 2^10 substeps.  Returns the permutation and the
+    spectrum at e_to."""
+    if steps is None:
+        steps = max(1, int(np.ceil(64 * abs(e_to - e_from))))
+    grid = np.linspace(e_from, e_to, steps + 1)
+    spec = diagonalize_params(params.replace(e_field=float(grid[0])))
+    perm = np.arange(spec.dim)
+    for a, b in zip(grid[:-1], grid[1:]):
+        spec, step = refine_step_loop(params, spec, float(a), float(b), 1)
+        perm = step[perm]
+    return perm, spec
+
+
+def refine_step_loop(params, spec_a, a, b, factor):
+    spec_b = diagonalize_params(params.replace(e_field=b))
+    perm, worst = match_step_loop(spec_a, spec_b)
+    if worst >= 0.7:
+        return spec_b, perm
+    if factor >= 2 ** 10:
+        raise ContinuationError(
+            f"ambiguous level matching near e_field={b:g} "
+            f"(worst overlap {worst:.3f} at maximum refinement)")
+    mid = 0.5 * (a + b)
+    spec_m, left = refine_step_loop(params, spec_a, a, mid, factor * 2)
+    spec_b, right = refine_step_loop(params, spec_m, mid, b, factor * 2)
+    return spec_b, right[left]
 
 
 def test_ground_energy_matches_closed_form():
@@ -205,3 +238,87 @@ def test_pattern_blocks_equal_dense_oracle(n, b):
                 residual = h[:, s.basis] @ s.vectors
                 residual[s.basis] -= s.vectors * spec.energies[s.levels]
                 assert np.max(np.abs(residual)) <= 1e-12 * scale
+
+
+# (path, steps): 16 steps, a single coarse step, and the default 64 per unit
+# over rising and falling fields, some of which raise ContinuationError
+CONTINUATION_PATHS = [((3.5, 14.0), None), ((1.0, 2.0), None), ((0.5, 8.0), 16),
+                      ((6.0, 1.0), None), ((1.5, 2.0), 1), ((0.0, 0.3), None)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+@pytest.mark.parametrize("b", [0.0, 1.0, 1.7])
+def test_continuation_equals_per_step_loop(n, b):
+    # the chunked continuation against the per-step loop it replaced: the
+    # same permutation and end energies, or the same error, in 84 cases; at
+    # n=8 the two longest paths (992 steps) would take the pairwise oracle
+    # about 10 s per field b
+    params = ChainParams(n, 1.0, -1.0, b, 0.0)
+    paths = CONTINUATION_PATHS if n < 8 else CONTINUATION_PATHS[1:3] + CONTINUATION_PATHS[4:]
+    for (e_from, e_to), steps in paths:
+        try:
+            want = continue_levels_loop(params, e_from, e_to, steps)
+        except ContinuationError as exc:
+            with pytest.raises(ContinuationError) as got:
+                continue_levels(params, e_from, e_to, steps)
+            assert str(got.value) == str(exc)
+            continue
+        got = continue_levels(params, e_from, e_to, steps)
+        assert np.array_equal(got.permutation, want[0])
+        assert np.array_equal(got.spectrum.energies, want[1].energies)
+
+
+def one_sector_spectrum(vectors):
+    d = vectors.shape[0]
+    return Spectrum(np.arange(d, dtype=float), np.zeros(d, dtype=int),
+                    (Sector(0, np.arange(d), np.arange(d), vectors),))
+
+
+def test_identity_fast_path_equals_assignment(monkeypatch):
+    # a seeded unitary near the identity, every |U_kk|^2 above 1/2: the
+    # matcher keeps the identity without calling linear_sum_assignment, and
+    # that is the assignment linear_sum_assignment finds
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(1)
+    d = 12
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    angles, basis = np.linalg.eigh(0.08 * (g + g.conj().T))
+    u = (basis * np.exp(1j * angles)) @ basis.conj().T
+    overlap = np.abs(u)
+    assert np.all(np.diagonal(overlap) ** 2 > 0.5 + 1e-6)
+    assert np.max(overlap - np.diag(np.diagonal(overlap))) > 0.3
+    rows, cols = linear_sum_assignment(-(overlap ** 2))
+    assert np.array_equal(cols, np.arange(d))
+
+    def refuse(_cost):
+        raise AssertionError("identity blocks need no assignment")
+
+    monkeypatch.setattr("scipy.optimize.linear_sum_assignment", refuse)
+    perm, worst = _match_step(one_sector_spectrum(np.eye(d, dtype=complex)),
+                              one_sector_spectrum(u))
+    assert np.array_equal(perm, np.arange(d))
+    assert worst == np.min(np.diagonal(overlap))
+
+
+def test_failed_continuation_stops_one_chunk_past_the_failure(monkeypatch):
+    # n=6 from zero field fails inside its first step (near p=1.5e-5): the
+    # continuation solves the first chunk of the grid and the bisection of
+    # that step, and nothing further
+    params = ChainParams(6, 1.0, -1.0, 1.0, 0.0)
+    chunk = spectra.CHUNK_BYTES // (16 * spectra._ring_plan(6)[0].size)
+    assert chunk == 8
+    grid = np.linspace(0.0, 10.0, 641)
+    calls = []
+    solve = spectra._solve_fields
+
+    def counting(params, fields):
+        calls.extend(float(f) for f in fields)
+        return solve(params, fields)
+
+    monkeypatch.setattr(spectra, "_solve_fields", counting)
+    with pytest.raises(ContinuationError, match="near e_field=1.5"):
+        continue_levels(params, 0.0, 10.0)
+    past = [f for f in calls if f > grid[1]]
+    assert 0 < len(past) <= chunk
+    assert max(calls) <= grid[1 + chunk]
