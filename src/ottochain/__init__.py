@@ -18,8 +18,7 @@ from .semiclassical import (ScConfig, efficiency_sc, entropy_sc,
                             free_energy_sc, heat_integral_sc,
                             perturbation_valid)
 from .spectra import (ContinuationError, DiagonalizationError, LevelMap,
-                      Spectrum, continue_levels, diagonalize,
-                      diagonalize_params)
+                      Spectrum, continue_levels, diagonalize_params)
 from .thermal import (GibbsState, TemperatureError, entropy, free_energy,
                       gibbs, internal_energy)
 
@@ -33,7 +32,7 @@ __all__ = [
     "build_chirality_operator", "build_hamiltonian", "build_total_sz",
     "chi_b4", "chi_e4", "chirality4", "chirality_expectation", "coeffs4",
     "concurrence", "concurrences4", "continue_levels", "density_matrix",
-    "diagonalize", "diagonalize_params", "efficiency_sc", "efficiency_sweep",
+    "diagonalize_params", "efficiency_sc", "efficiency_sweep",
     "entropy", "entropy_sc", "fidelity_quadratic_approx", "free_energy",
     "free_energy_sc", "gibbs", "heat_integral_sc", "internal_energy",
     "one_tangle", "one_tangle4", "partial_trace", "perturbation_valid",

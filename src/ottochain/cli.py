@@ -130,6 +130,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         for sub in parser.subcommands.values():
             sub.set_defaults(**mapped)
         args = parser.parse_args(argv)
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     return args
 
 

@@ -18,7 +18,7 @@ value 0 means spin up (s^z = +1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -37,7 +37,7 @@ class ParameterError(ValueError):
     """Invalid chain configuration (site count or couplings)."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ChainParams:
     """Physical configuration of the ring.
 
@@ -69,14 +69,7 @@ class ChainParams:
         return 2 ** self.n
 
     def replace(self, **kwargs) -> "ChainParams":
-        fields = {k: getattr(self, k) for k in ("n", "j1", "j2", "b", "e_field")}
-        fields.update(kwargs)
-        return ChainParams(**fields)
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not N_MIN <= n <= N_MAX:
-        raise ParameterError(f"site count {n!r} outside [{N_MIN}, {N_MAX}]")
+        return dataclasses.replace(self, **kwargs)
 
 
 class _Pattern(NamedTuple):
@@ -134,7 +127,7 @@ def _dense(n: int, values: np.ndarray) -> np.ndarray:
 
 def build_total_sz(n: int) -> np.ndarray:
     """Diagonal matrix of total-s^z eigenvalues; conserved by H and K."""
-    _check_n(n)
+    ChainParams(n)  # checks the site count
     return _dense(n, _pattern(n).sz)
 
 
@@ -143,7 +136,7 @@ def build_chirality_operator(n: int) -> np.ndarray:
 
     Hermitian, traceless and purely imaginary in the computational basis.
     """
-    _check_n(n)
+    ChainParams(n)  # checks the site count
     return _dense(n, _pattern(n).k)
 
 

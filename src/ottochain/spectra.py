@@ -21,7 +21,6 @@ import numpy as np
 
 from .model import ChainParams, _field_free_values, _pattern
 
-HERMITICITY_TOL = 1e-10
 OVERLAP_THRESHOLD = 0.7
 MAX_REFINEMENT = 2 ** 10
 DEFAULT_STEPS_PER_UNIT = 64
@@ -32,7 +31,7 @@ CHUNK_BYTES = 2 ** 17
 
 
 class DiagonalizationError(RuntimeError):
-    """Non-Hermitian input or eigensolver failure."""
+    """Eigensolver failure."""
 
 
 class ContinuationError(RuntimeError):
@@ -93,22 +92,10 @@ class LevelMap:
     e_to: float
     spectrum: Spectrum | None = field(default=None, repr=False, compare=False)
 
-    def inverse(self) -> "LevelMap":
-        inv = np.empty_like(self.permutation)
-        inv[self.permutation] = np.arange(self.permutation.size)
-        return LevelMap(inv, self.e_to, self.e_from)
-
     def compose(self, later: "LevelMap") -> "LevelMap":
         """Map equivalent to following self and then `later`."""
         return LevelMap(later.permutation[self.permutation], self.e_from, later.e_to,
                         later.spectrum)
-
-
-def sector_indices(sz_diagonal: np.ndarray):
-    """Basis indices grouped by magnetization, keyed by the integer value."""
-    values = np.rint(np.real(sz_diagonal)).astype(int)
-    # a set, not np.unique, whose first call imports numpy.ma (1.6 MB)
-    return {v: np.flatnonzero(values == v) for v in sorted(set(values.tolist()))}
 
 
 class _Layout(NamedTuple):
@@ -150,7 +137,9 @@ def _ring_plan(n: int) -> tuple[_Layout, np.ndarray]:
     in one block because the ring operators conserve s^z."""
     pat = _pattern(n)
     dim = 2 ** n
-    layout = _layout(sector_indices(pat.sz[pat.index % (dim + 1) == 0]))
+    values = np.rint(pat.sz[pat.index % (dim + 1) == 0].real).astype(int)
+    # a set, not np.unique, whose first call imports numpy.ma (1.6 MB)
+    layout = _layout({v: np.flatnonzero(values == v) for v in set(values.tolist())})
     offset = np.empty(dim, dtype=int)   # buffer offset of each state's block
     local = np.empty(dim, dtype=int)    # position of each state in its block
     width = np.empty(dim, dtype=int)    # size of each state's block
@@ -238,18 +227,6 @@ def _levels(spec: Spectrum) -> np.ndarray:
     return np.concatenate([s.levels for s in spec.sectors])
 
 
-def diagonalize(h: np.ndarray, sz: np.ndarray) -> Spectrum:
-    """Full spectrum of a Hermitian h that commutes with the diagonal sz,
-    solved block by block, so every eigenvector lies in one sector even
-    inside accidental cross-sector degeneracies."""
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
-        raise DiagonalizationError("matrix is not Hermitian")
-    layout = _layout(sector_indices(np.diag(sz)))
-    bases = [layout.sectors[s][1] for _, members, _ in layout.groups for s in members]
-    buf = np.concatenate([h[np.ix_(b, b)].ravel() for b in bases])
-    return _spectrum(layout, _eigh_stacks(layout, buf[None]), 0)
-
-
 def diagonalize_params(params: ChainParams) -> Spectrum:
     """Spectrum of the ring Hamiltonian, which is Hermitian and conserves
     total s^z by construction; its s^z blocks are filled straight from the
@@ -306,19 +283,6 @@ def _match(layout: _Layout, span) -> tuple[np.ndarray, np.ndarray]:
     return moves, worst
 
 
-def _match_step(spec_a: Spectrum, spec_b: Spectrum) -> tuple[np.ndarray, float]:
-    """`_match` for one step between two spectra: (permutation a->b of the
-    level indices, worst matched |overlap|)."""
-    for sa, sb in zip(spec_a.sectors, spec_b.sectors):
-        if sa.value != sb.value or sa.basis.size != sb.basis.size:
-            raise ContinuationError("sector dimensions changed between fields")
-    layout = _layout({s.value: s.basis for s in spec_a.sectors})
-    moves, worst = _match(layout, _stacked(layout, (spec_a, spec_b)))
-    perm = np.empty(spec_a.dim, dtype=int)
-    perm[_levels(spec_a)] = _levels(spec_b)[moves[0]]
-    return perm, float(worst[0])
-
-
 def continue_levels(params: ChainParams, e_from: float, e_to: float,
                     steps: int | None = None,
                     start: Spectrum | None = None) -> LevelMap:
@@ -333,8 +297,9 @@ def continue_levels(params: ChainParams, e_from: float, e_to: float,
 
     The grid fields are solved and matched in chunks of consecutive fields
     whose block buffers fill at most CHUNK_BYTES, one stacked eigensolve per
-    block size each; a level is followed by its position inside its sector,
-    and only the spectrum at e_to is assembled.
+    block size each, and the substeps of a bisected step one field at a
+    time through the same solve and match; a level is followed by its
+    position inside its sector, and only the spectrum at e_to is assembled.
     """
     if steps is None:
         steps = max(1, int(np.ceil(DEFAULT_STEPS_PER_UNIT * abs(e_to - e_from))))
@@ -353,19 +318,15 @@ def continue_levels(params: ChainParams, e_from: float, e_to: float,
     track = np.arange(dim)
     for first in range(1, steps + 1, chunk):
         fields = grid[first:first + chunk]
-        span = [(np.concatenate([pe, ev]), np.concatenate([pv, vec]))
-                for (pe, pv), (ev, vec) in zip(prev, _solve_fields(params, fields))]
+        span = _join(prev, _solve_fields(params, fields))
         moves, worst = _match(layout, span)
         for i, b in enumerate(fields):
-            if worst[i] >= OVERLAP_THRESHOLD:
-                track = moves[i][track]
-                continue
-            spec_a = _spectrum(layout, span, i)
-            spec_b, perm = _bisect(params, spec_a, float(grid[first + i - 1]),
-                                   float(b), 1)
-            position = np.empty(dim, dtype=int)
-            position[_levels(spec_b)] = np.arange(dim)
-            track = position[perm[_levels(spec_a)]][track]
+            step = moves[i]
+            if worst[i] < OVERLAP_THRESHOLD:
+                solved_a = [(ev[i:i + 1], vec[i:i + 1]) for ev, vec in span]
+                step = _bisect(params, layout, solved_a, float(grid[first + i - 1]),
+                               float(b), 1)[1]
+            track = step[track]
         # copies, so that the spectrum at e_to does not hold the whole chunk
         prev = [(ev[-1:].copy(), vec[-1:].copy()) for ev, vec in span]
     end = _spectrum(layout, prev, 0)
@@ -374,23 +335,34 @@ def continue_levels(params: ChainParams, e_from: float, e_to: float,
     return LevelMap(perm, e_from, e_to, end)
 
 
-def _refine_step(params: ChainParams, spec_a: Spectrum, a: float, b: float,
-                 factor: int) -> tuple[Spectrum, np.ndarray]:
-    spec_b = diagonalize_params(params.replace(e_field=b))
-    perm, worst = _match_step(spec_a, spec_b)
-    if worst >= OVERLAP_THRESHOLD:
-        return spec_b, perm
+def _join(earlier, later) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Two outputs of `_eigh_stacks` as one, the fields of `earlier` first."""
+    return [(np.concatenate([ea, eb]), np.concatenate([va, vb]))
+            for (ea, va), (eb, vb) in zip(earlier, later)]
+
+
+def _refine_step(params: ChainParams, layout: _Layout, solved_a, a: float, b: float,
+                 factor: int) -> tuple[list, np.ndarray]:
+    """The step from the field a, solved as `solved_a` (one field in the form
+    `_eigh_stacks` returns), to the field b: the blocks solved at b and the
+    position at b of every level, as positions in the layout's concatenation
+    of the sectors' levels.  A step whose worst overlap falls below
+    OVERLAP_THRESHOLD is bisected."""
+    solved_b = _solve_fields(params, [b])
+    moves, worst = _match(layout, _join(solved_a, solved_b))
+    if worst[0] >= OVERLAP_THRESHOLD:
+        return solved_b, moves[0]
     if factor >= MAX_REFINEMENT:
         raise ContinuationError(
             f"ambiguous level matching near e_field={b:g} "
-            f"(worst overlap {worst:.3f} at maximum refinement)")
-    return _bisect(params, spec_a, a, b, factor)
+            f"(worst overlap {worst[0]:.3f} at maximum refinement)")
+    return _bisect(params, layout, solved_a, a, b, factor)
 
 
-def _bisect(params: ChainParams, spec_a: Spectrum, a: float, b: float,
-            factor: int) -> tuple[Spectrum, np.ndarray]:
+def _bisect(params: ChainParams, layout: _Layout, solved_a, a: float, b: float,
+            factor: int) -> tuple[list, np.ndarray]:
     """The step from a to b as two half steps, each refined again."""
     mid = 0.5 * (a + b)
-    spec_m, left = _refine_step(params, spec_a, a, mid, factor * 2)
-    spec_b, right = _refine_step(params, spec_m, mid, b, factor * 2)
-    return spec_b, right[left]
+    solved_m, left = _refine_step(params, layout, solved_a, a, mid, factor * 2)
+    solved_b, right = _refine_step(params, layout, solved_m, mid, b, factor * 2)
+    return solved_b, right[left]

@@ -22,7 +22,7 @@ from .model import (ChainParams, build_chirality_operator, build_hamiltonian,
                     build_total_sz)
 from .response import (FieldTag, fidelity_quadratic_approx, susceptibility,
                        thermal_state_fidelity, uhlmann_fidelity)
-from .spectra import Spectrum, diagonalize, diagonalize_params
+from .spectra import Spectrum, diagonalize_params
 from .thermal import entropy, free_energy, gibbs, internal_energy
 
 GRID_J = (0.5, 1.0, 2.0)
@@ -103,7 +103,8 @@ def check_reduced_coefficients(perturb: float = 0.0) -> CheckResult:
 
 
 def check_entanglement_oracle(perturb: float = 0.0) -> CheckResult:
-    """Concurrences, tangles and chirality against the closed forms."""
+    """Concurrences, tangles and chirality against the closed forms; the
+    chirality both with the dense K and from the operator pattern."""
     worst = 0.0
     for j, b, d, t in _grid_points():
         params = ChainParams(4, j, -j, b, d)
@@ -119,6 +120,7 @@ def check_entanglement_oracle(perturb: float = 0.0) -> CheckResult:
             abs(two_tangle(rho, 4) - analytic4.two_tangle4(der)),
             abs(one_tangle(rho) - analytic4.one_tangle4(der)),
             abs(chirality_expectation(rho, k) - analytic4.chirality4(der)),
+            abs(chirality_expectation(rho) - analytic4.chirality4(der)),
         ]
         worst = max(worst, float(max(devs)))
     return CheckResult("tangles and chirality", worst, 1e-8)
@@ -143,8 +145,8 @@ def check_susceptibility_oracle(perturb: float = 0.0) -> CheckResult:
 
 def check_operator_invariants(perturb: float = 0.0) -> CheckResult:
     """Hermiticity, linearity in the electric field, conservation laws,
-    translation invariance, spectral reconstruction, and the sector-blocked
-    energies against a dense eigvalsh."""
+    translation invariance, and the production spectrum against the dense
+    H: reconstruction and the energies against a dense eigvalsh."""
     rng = np.random.default_rng(7)
     worst = 0.0
     for n in (2, 3, 4, 5, 6):
@@ -161,8 +163,9 @@ def check_operator_invariants(perturb: float = 0.0) -> CheckResult:
         worst = max(worst, float(np.max(np.abs(k @ sz - sz @ k))))
         shift = _one_site_shift(n)
         worst = max(worst, float(np.max(np.abs(h @ shift - shift @ h))))
-        spec = diagonalize(h, sz)
-        recon = (spec.states * spec.energies) @ spec.states.conj().T
+        spec = diagonalize_params(params)
+        states = spec.states
+        recon = (states * spec.energies) @ states.conj().T
         worst = max(worst, float(np.max(np.abs(h - recon)))
                     / max(1.0, float(np.max(np.abs(h)))))
         worst = max(worst, float(np.max(np.abs(spec.energies

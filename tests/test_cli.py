@@ -260,6 +260,13 @@ def test_jobs_do_not_change_rows(tmp_path):
     assert parse_csv(serial) == parse_csv(parallel)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(tmp_path, jobs):
+    code, text = run_cli(["tangles", "--n", "4", "--jobs", jobs], tmp_path)
+    assert code == 2
+    assert text == ""
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"n": 3, "e-field": 2.0}))
