@@ -1,5 +1,6 @@
-"""Thermal density matrices, partial traces, Wootters concurrence, one- and
-two-tangle, chirality expectation, and the threshold-temperature search.
+"""Thermal density matrices, kept as s^z blocks, partial traces, Wootters
+concurrence, one- and two-tangle, chirality expectation, and the
+threshold-temperature search.
 
 The two-tangle aggregates squared pair concurrences of one site with every
 other site of the ring; on four sites this is 2*C(r=1)^2 + C(r=2)^2.
@@ -7,12 +8,12 @@ other site of the ring; on four sites this is 2*C(r=1)^2 + C(r=2)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .model import ChainParams, _pattern
-from .spectra import diagonalize_params
+from .spectra import _Layout, _layout, _placement, _ring_plan, diagonalize_params
 from .thermal import GibbsState, gibbs
 
 TAU2_ZERO = 1e-12
@@ -30,54 +31,119 @@ class NoThresholdError(RuntimeError):
     """The bracketing precondition of the threshold search failed."""
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix over the listed chain sites."""
+    """Hermitian, PSD, unit-trace matrix over the listed chain sites.
 
-    entries: np.ndarray
-    site_labels: tuple = field(default_factory=tuple)
+    It is kept as square blocks on disjoint sets of basis states, back to
+    back in one flat buffer laid out like a `spectra._Layout`, and is zero
+    outside its blocks.  A thermal ring state has one block per s^z sector,
+    on the ring layout of `_ring_plan`; a matrix given densely, as
+    `DensityMatrix(entries, site_labels)`, is one block over the whole
+    basis.  `entries` assembles the dense matrix on demand.
+    """
+
+    __slots__ = ("buffer", "site_labels", "_ring")
+
+    def __init__(self, entries, site_labels=()):
+        entries = np.asarray(entries, dtype=complex)
+        labels = tuple(site_labels)
+        dim = 2 ** len(labels)
+        if entries.shape != (dim, dim):
+            raise DensityMatrixError(f"a matrix over {len(labels)} sites must be "
+                                     f"{dim} x {dim}, got shape {entries.shape}")
+        self.buffer = entries.reshape(-1)
+        self.site_labels = labels
+        self._ring = False
+
+    @classmethod
+    def _blocked(cls, buffer: np.ndarray, n: int) -> "DensityMatrix":
+        """The state of an n-site ring with the s^z blocks of `buffer`."""
+        rho = cls.__new__(cls)
+        rho.buffer, rho.site_labels, rho._ring = buffer, tuple(range(n)), True
+        return rho
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return 2 ** self.n_sites
 
     @property
     def n_sites(self) -> int:
         return len(self.site_labels)
 
+    def _dense(self) -> np.ndarray:
+        if not self._ring:
+            return self.buffer.reshape(self.dim, self.dim)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for _, basis, block in _blocks(_ring_plan(self.n_sites)[0], self.buffer):
+            out[basis[:, None], basis] = block
+        return out
+
+    entries = property(_dense, doc="The dense matrix, assembled from the blocks.")
+
+
+def _blocks(layout: _Layout, buffer: np.ndarray):
+    """(position in `layout.sectors`, basis states, d x d view) of every
+    block of `buffer`."""
+    for d, members, start in layout.groups:
+        for s, block in zip(members, buffer[start:start + members.size * d * d].reshape(-1, d, d)):
+            yield s, layout.sectors[s][1], block
+
+
+@lru_cache(maxsize=None)
+def _single_block(n: int) -> _Layout:
+    return _layout({0: np.arange(2 ** n)})
+
 
 def density_matrix(g: GibbsState) -> DensityMatrix:
     """rho = sum_n P_n |psi_n><psi_n| from the Gibbs populations.  Every
-    level lies in one s^z sector, so rho is filled block by block,
-    rho[s, s] = V_s diag(P_s) V_s^dagger."""
-    dim = g.spectrum.dim
-    rho = np.zeros((dim, dim), dtype=complex)
-    for s in g.spectrum.sectors:
-        v = s.vectors
-        rho[np.ix_(s.basis, s.basis)] = (v * g.populations[s.levels]) @ v.conj().T
-    return DensityMatrix(rho, tuple(range(dim.bit_length() - 1)))
+    level lies in one s^z sector, so rho is written block by block into the
+    buffer of the ring layout, rho[s, s] = V_s diag(P_s) V_s^dagger."""
+    spec = g.spectrum
+    n = spec.dim.bit_length() - 1
+    layout = _ring_plan(n)[0]
+    buf = np.empty(layout.size, dtype=complex)
+    for s, _, block in _blocks(layout, buf):
+        sector = spec.sectors[s]
+        v = sector.vectors
+        np.matmul(v * g.populations[sector.levels], v.conj().T, out=block)
+    return DensityMatrix._blocked(buf, n)
+
+
+@lru_cache(maxsize=None)
+def _trace_plan(n: int, ring: bool, keep: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The partial trace onto `keep` of an n-site matrix on the ring layout
+    (or on one block when not `ring`): the buffer positions whose two states
+    agree outside `keep`, and the slots of the real and imaginary part of
+    each position's entry in the flat reduced matrix viewed as floats.
+    Built from each state's 2^m partners, m = len(keep)."""
+    offset, head, local = _placement(_ring_plan(n)[0] if ring else _single_block(n))
+    m = len(keep)
+    shifts = n - 1 - np.array(keep)         # site 0 is the most significant bit
+    weights = 1 << np.arange(m - 1, -1, -1)
+    x = np.arange(2 ** n)
+    reduced = ((x[:, None] >> shifts) & 1) @ weights
+    v = np.arange(2 ** m)
+    partner = (x[:, None] & ~np.sum(1 << shifts)) | (((v[:, None] // weights) & 1) @ (1 << shifts))
+    xs, vs = np.nonzero(offset[partner] == offset[:, None])
+    slot = reduced[xs] * 2 ** m + vs
+    return head[xs] + local[partner[xs, vs]], np.stack([2 * slot, 2 * slot + 1], axis=1).ravel()
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix on `keep`, tracing out the remaining sites."""
-    keep = list(keep)
+    """Reduced density matrix on `keep`, tracing out the remaining sites:
+    one gather from the buffer and one bincount."""
+    keep = tuple(keep)
     n = rho.n_sites
     if not keep:
         raise DensityMatrixError("keep list must be nonempty")
     if len(set(keep)) != len(keep):
-        raise DensityMatrixError(f"duplicate sites in keep list {keep}")
+        raise DensityMatrixError(f"duplicate sites in keep list {list(keep)}")
     if any(not 0 <= s < n for s in keep):
-        raise DensityMatrixError(f"sites {keep} out of range for {n} sites")
-    dims = [2] * n
-    tensor = rho.entries.reshape(dims + dims)
-    idx = list(range(2 * n))
-    for site in range(n):
-        if site not in keep:
-            idx[n + site] = idx[site]
-    out_idx = [idx[s] for s in keep] + [idx[n + s] for s in keep]
-    reduced = np.einsum(tensor, idx, out_idx)
+        raise DensityMatrixError(f"sites {list(keep)} out of range for {n} sites")
+    pos, slots = _trace_plan(n, rho._ring, keep)
     d = 2 ** len(keep)
-    return DensityMatrix(reduced.reshape(d, d),
+    reduced = np.bincount(slots, rho.buffer[pos].view(float), minlength=2 * d * d)
+    return DensityMatrix(reduced.view(complex).reshape(d, d),
                          tuple(rho.site_labels[s] for s in keep))
 
 
@@ -98,7 +164,7 @@ def concurrence(rho_pair: DensityMatrix) -> float:
     """
     if rho_pair.dim != 4:
         raise DensityMatrixError("concurrence needs a 4x4 two-site matrix")
-    r = rho_pair.entries
+    r = rho_pair._dense()
     r_tilde = _YY @ r.conj() @ _YY
     lam = np.sort(np.linalg.svd(_sqrt_psd(r) @ _sqrt_psd(r_tilde),
                                 compute_uv=False))
@@ -118,8 +184,12 @@ def two_tangle(rho: DensityMatrix, n: int) -> float:
     """tau_2 = sum_r m_r C(r)^2 over ring distances r of site 0.
 
     m_r = 2 except for the antipodal distance of an even ring; translation
-    invariance of the thermal state makes C(r) site-independent.
+    invariance of the thermal state makes C(r) site-independent.  `n` must
+    be the number of sites of rho.
     """
+    if n != rho.n_sites:
+        raise DensityMatrixError(
+            f"two_tangle got n={n} for a matrix over {rho.n_sites} sites")
     total = 0.0
     for r, mult in _ring_distance_pairs(n):
         c = concurrence(partial_trace(rho, [0, r]))
@@ -130,18 +200,25 @@ def two_tangle(rho: DensityMatrix, n: int) -> float:
 def one_tangle(rho: DensityMatrix) -> float:
     """tau_1 = 4 det rho_1 for the single-site reduced matrix of site 0."""
     r1 = partial_trace(rho, [0])
-    return float(4.0 * np.real(np.linalg.det(r1.entries)))
+    return float(4.0 * np.real(np.linalg.det(r1._dense())))
 
 
 def chirality_expectation(rho: DensityMatrix, k: np.ndarray | None = None) -> float:
     """tr(rho K) = sum_ij conj(K_ij) rho_ij for Hermitian K, the thermal
     z-component of the vector chirality, without forming the matrix
     product.  Without k, the sum runs over the nonzeros of the ring's K in
-    its operator pattern, with no dense K."""
+    its operator pattern, with no dense K.  A dense k is read only inside
+    rho's blocks, outside which rho vanishes."""
+    n = rho.n_sites
     if k is None:
-        pat = _pattern(rho.dim.bit_length() - 1)
-        return float(np.real(np.vdot(pat.k, rho.entries.reshape(-1)[pat.index])))
-    return float(np.real(np.vdot(k, rho.entries)))
+        pat = _pattern(n)
+        return float(np.real(np.vdot(pat.k, rho.buffer[_ring_plan(n)[1] if rho._ring
+                                                       else pat.index])))
+    if not rho._ring:
+        return float(np.real(np.vdot(k, rho.buffer)))
+    k = np.asarray(k)
+    return float(np.real(sum(np.vdot(k[basis[:, None], basis], block)
+                             for _, basis, block in _blocks(_ring_plan(n)[0], rho.buffer))))
 
 
 def threshold_temperature(params: ChainParams, t_lo: float, t_hi: float) -> float:

@@ -140,17 +140,26 @@ def _ring_plan(n: int) -> tuple[_Layout, np.ndarray]:
     values = np.rint(pat.sz[pat.index % (dim + 1) == 0].real).astype(int)
     # a set, not np.unique, whose first call imports numpy.ma (1.6 MB)
     layout = _layout({v: np.flatnonzero(values == v) for v in set(values.tolist())})
-    offset = np.empty(dim, dtype=int)   # buffer offset of each state's block
-    local = np.empty(dim, dtype=int)    # position of each state in its block
-    width = np.empty(dim, dtype=int)    # size of each state's block
+    _, head, local = _placement(layout)
+    row, col = np.divmod(pat.index, dim)
+    return layout, head[row] + local[col]
+
+
+def _placement(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every basis state: the buffer offset of its block, the buffer
+    position of its row in that block and its position inside the block.
+    Entry (x, y) of a block sits at head[x] + local[y]."""
+    dim = layout.labels.size
+    offset = np.empty(dim, dtype=int)
+    head = np.empty(dim, dtype=int)
+    local = np.empty(dim, dtype=int)
     for d, members, start in layout.groups:
         for j, s in enumerate(members):
             basis = layout.sectors[s][1]
             offset[basis] = start + j * d * d
             local[basis] = np.arange(d)
-            width[basis] = d
-    row, col = np.divmod(pat.index, dim)
-    return layout, offset[row] + local[row] * width[row] + local[col]
+            head[basis] = offset[basis] + local[basis] * d
+    return offset, head, local
 
 
 def _ring_blocks(n: int, values: np.ndarray) -> list[np.ndarray]:

@@ -274,3 +274,19 @@ def test_tangle_ratio_smaller_for_larger_ring():
         r4 = two_tangle(rho4, 4) / one_tangle(rho4)
         r8 = two_tangle(rho8, 8) / one_tangle(rho8)
         assert r8 < r4
+
+
+def test_two_tangle_rejects_a_wrong_site_count():
+    rho, _, _ = thermal_state(n=6, b=1.0, d=2.0, t=1.0)
+    assert two_tangle(rho, 6) == pytest.approx(0.13869, abs=1e-5)
+    for n in (4, 12):
+        with pytest.raises(DensityMatrixError, match=f"n={n} for a matrix over 6 sites"):
+            two_tangle(rho, n)
+
+
+@pytest.mark.parametrize("entries,labels", [(np.eye(3), (0, 1)),
+                                            (np.eye(4), (0, 1, 2)),
+                                            (np.ones(4), (0, 1))])
+def test_density_matrix_shape_must_match_sites(entries, labels):
+    with pytest.raises(DensityMatrixError):
+        DensityMatrix(entries, labels)

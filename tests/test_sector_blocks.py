@@ -1,15 +1,18 @@
-"""The sector-blocked density matrix, Kubo susceptibilities and thermal
-fidelity against the dense 2^n x 2^n formulas they replaced, which stay here
-as the oracles."""
+"""The sector-blocked density matrix, its partial traces and chirality,
+Kubo susceptibilities and thermal fidelity against the dense 2^n x 2^n
+formulas they replaced, which stay here as the oracles."""
 
 import numpy as np
 import pytest
 
-from ottochain.correlations import _sqrt_psd, density_matrix
+from ottochain.correlations import (DensityMatrix, _sqrt_psd,
+                                    chirality_expectation, density_matrix,
+                                    partial_trace)
 from ottochain.model import ChainParams, build_chirality_operator, build_total_sz
 from ottochain.response import (FieldTag, susceptibility,
                                 thermal_state_fidelity)
-from ottochain.spectra import Spectrum, continue_levels, diagonalize_params
+from ottochain.spectra import (Spectrum, _ring_plan, continue_levels,
+                               diagonalize_params)
 from ottochain.thermal import gibbs
 
 OPERATORS = {FieldTag.MAGNETIC: build_total_sz,
@@ -21,6 +24,40 @@ def dense_density_matrix(g):
     """rho = V diag(P) V^dagger over the whole basis."""
     v = g.spectrum.states
     return (v * g.populations) @ v.conj().T
+
+
+def dense_partial_trace(rho, keep):
+    """Reduced matrix on `keep` of a dense 2^n x 2^n rho, by one einsum over
+    its 2n-index tensor with the traced sites' row and column indices tied."""
+    n = rho.shape[0].bit_length() - 1
+    idx = list(range(2 * n))
+    for site in range(n):
+        if site not in keep:
+            idx[n + site] = idx[site]
+    out_idx = [idx[s] for s in keep] + [idx[n + s] for s in keep]
+    d = 2 ** len(keep)
+    return np.einsum(rho.reshape([2] * (2 * n)), idx, out_idx).reshape(d, d)
+
+
+def oracle_keeps(n):
+    """Every single site; (0, r), (r, 0) and (1, 1 + r) for every distance
+    r; and one three-site keep, out of site order."""
+    keeps = [(s,) for s in range(n)]
+    for r in range(1, n):
+        keeps += [(0, r), (r, 0), (1, (1 + r) % n)]
+    if n >= 3:
+        keeps.append((2, 0, 1))
+    return keeps
+
+
+def assert_blocks_match_dense(rho, dense, k):
+    n = rho.n_sites
+    for keep in oracle_keeps(n):
+        got = partial_trace(rho, keep).entries
+        assert np.max(np.abs(got - dense_partial_trace(dense, keep))) <= 1e-14, keep
+    want = float(np.real(np.vdot(k, dense)))
+    assert abs(chirality_expectation(rho) - want) <= 1e-14
+    assert abs(chirality_expectation(rho, k) - want) <= 1e-14
 
 
 def dense_kubo(spec, o, t):
@@ -70,6 +107,34 @@ def test_blocks_equal_dense_oracles(n, b, p):
         assert got == pytest.approx(want, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("b", [0.0, 1.0])
+@pytest.mark.parametrize("p", [0.0, 10.0])
+def test_block_traces_and_chirality_equal_dense_oracles(n, b, p):
+    spec = diagonalize_params(ChainParams(n, 1.0, -1.0, b, p))
+    k = build_chirality_operator(n)
+    for t in (0.5, 10.0, 40.0):
+        g = gibbs(spec, t)
+        assert_blocks_match_dense(density_matrix(g), dense_density_matrix(g), k)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_single_block_traces_and_chirality_equal_dense_oracles(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    dense = a @ a.conj().T
+    dense /= np.trace(dense)
+    rho = DensityMatrix(dense, range(n))
+    assert_blocks_match_dense(rho, dense, build_chirality_operator(n))
+
+
+def test_thermal_state_buffer_holds_only_the_blocks():
+    layout = _ring_plan(8)[0]
+    rho = density_matrix(gibbs(diagonalize_params(ChainParams(8, b=1.0)), 5.0))
+    assert rho.buffer.size == layout.size == sum(
+        basis.size ** 2 for _, basis in layout.sectors)
+
+
 def test_production_paths_never_read_dense_states(monkeypatch):
     def dense_states(self):
         raise AssertionError("a production path assembled Spectrum.states")
@@ -81,6 +146,24 @@ def test_production_paths_never_read_dense_states(monkeypatch):
         susceptibility(params, field, 5.0)
         thermal_state_fidelity(params, field, 5.0, FIDELITY_STEP)
     continue_levels(params, 0.5, 3.0)
+
+
+def test_production_paths_build_no_dense_density_matrix(monkeypatch, tmp_path):
+    from ottochain.cli import main
+    from ottochain.correlations import threshold_temperature
+    from ottochain.otto import CycleMode, CycleSpec, efficiency_sweep
+
+    def dense_entries(self):
+        raise AssertionError("a production path assembled DensityMatrix.entries")
+
+    monkeypatch.setattr(DensityMatrix, "entries", property(dense_entries))
+    for sweep in ("t:2:20:3", "e-field:1:5:3"):
+        assert main(["tangles", "--n", "8", "--sweep", sweep,
+                     "--out", str(tmp_path / "tangles.csv")]) == 0
+    efficiency_sweep(CycleSpec(ChainParams(6, b=1.0), 30.0, 10.0, 6.0, 3.5,
+                               CycleMode.QUANTUM), [4.0, 6.0])
+    assert threshold_temperature(ChainParams(8, b=1.0, e_field=10.0),
+                                 2.0, 80.0) == pytest.approx(19.27, abs=2e-3)
 
 
 def test_production_paths_build_no_dense_operator(monkeypatch, tmp_path):
