@@ -13,7 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .model import ChainParams, _pattern
-from .spectra import _Layout, _layout, _placement, _ring_plan, diagonalize_params
+from .spectra import (_Layout, _layout, _pattern_positions, _placement, _ring_plan,
+                      diagonalize_params)
 from .thermal import GibbsState, gibbs
 
 TAU2_ZERO = 1e-12
@@ -35,16 +36,16 @@ class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix over the listed chain sites.
 
     It is kept as square blocks on disjoint sets of basis states, back to
-    back in one flat buffer laid out like a `spectra._Layout`, and is zero
-    outside its blocks.  A thermal ring state has one block per s^z sector,
-    on the ring layout of `_ring_plan`; a matrix given densely, as
+    back in the flat `buffer` of its `spectra._Layout`, and is zero outside
+    its blocks.  A thermal ring state has one block per s^z sector, on the
+    ring layout of `_ring_plan`; a matrix given densely, as
     `DensityMatrix(entries, site_labels)`, is one block over the whole
     basis.  `entries` assembles the dense matrix on demand.
     """
 
-    __slots__ = ("buffer", "site_labels", "_ring")
+    __slots__ = ("buffer", "layout", "site_labels")
 
-    def __init__(self, entries, site_labels=()):
+    def __init__(self, entries, site_labels):
         entries = np.asarray(entries, dtype=complex)
         labels = tuple(site_labels)
         dim = 2 ** len(labels)
@@ -52,15 +53,18 @@ class DensityMatrix:
             raise DensityMatrixError(f"a matrix over {len(labels)} sites must be "
                                      f"{dim} x {dim}, got shape {entries.shape}")
         self.buffer = entries.reshape(-1)
+        self.layout = _single_block(len(labels))
         self.site_labels = labels
-        self._ring = False
 
     @classmethod
-    def _blocked(cls, buffer: np.ndarray, n: int) -> "DensityMatrix":
-        """The state of an n-site ring with the s^z blocks of `buffer`."""
+    def _of_blocks(cls, buffer: np.ndarray, layout: _Layout, site_labels) -> "DensityMatrix":
         rho = cls.__new__(cls)
-        rho.buffer, rho.site_labels, rho._ring = buffer, tuple(range(n)), True
+        rho.buffer, rho.layout, rho.site_labels = buffer, layout, tuple(site_labels)
         return rho
+
+    def __repr__(self) -> str:
+        return (f"DensityMatrix(<{len(self.layout.sectors)} blocks, {self.buffer.size} "
+                f"entries>, site_labels={self.site_labels})")
 
     @property
     def dim(self) -> int:
@@ -70,15 +74,13 @@ class DensityMatrix:
     def n_sites(self) -> int:
         return len(self.site_labels)
 
-    def _dense(self) -> np.ndarray:
-        if not self._ring:
-            return self.buffer.reshape(self.dim, self.dim)
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, assembled from the blocks."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for _, basis, block in _blocks(_ring_plan(self.n_sites)[0], self.buffer):
+        for _, basis, block in _blocks(self.layout, self.buffer):
             out[basis[:, None], basis] = block
         return out
-
-    entries = property(_dense, doc="The dense matrix, assembled from the blocks.")
 
 
 def _blocks(layout: _Layout, buffer: np.ndarray):
@@ -101,22 +103,26 @@ def density_matrix(g: GibbsState) -> DensityMatrix:
     spec = g.spectrum
     n = spec.dim.bit_length() - 1
     layout = _ring_plan(n)[0]
+    if [sector.value for sector in spec.sectors] != [value for value, _ in layout.sectors]:
+        raise DensityMatrixError("the spectrum's sectors are not those of the "
+                                 f"{n}-site ring layout, in its order")
     buf = np.empty(layout.size, dtype=complex)
     for s, _, block in _blocks(layout, buf):
         sector = spec.sectors[s]
         v = sector.vectors
         np.matmul(v * g.populations[sector.levels], v.conj().T, out=block)
-    return DensityMatrix._blocked(buf, n)
+    return DensityMatrix._of_blocks(buf, layout, range(n))
 
 
-@lru_cache(maxsize=None)
-def _trace_plan(n: int, ring: bool, keep: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The partial trace onto `keep` of an n-site matrix on the ring layout
-    (or on one block when not `ring`): the buffer positions whose two states
-    agree outside `keep`, and the slots of the real and imaginary part of
-    each position's entry in the flat reduced matrix viewed as floats.
-    Built from each state's 2^m partners, m = len(keep)."""
-    offset, head, local = _placement(_ring_plan(n)[0] if ring else _single_block(n))
+@lru_cache(maxsize=32)
+def _trace_plan(layout: _Layout, keep: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The partial trace onto `keep` of a matrix on `layout`: the buffer
+    positions whose two states agree outside `keep`, and the slots of the
+    real and imaginary part of each position's entry in the flat reduced
+    matrix viewed as floats.  Built from each state's 2^m partners,
+    m = len(keep), so its size grows as 2^m."""
+    offset, head, local = _placement(layout)
+    n = layout.labels.size.bit_length() - 1
     m = len(keep)
     shifts = n - 1 - np.array(keep)         # site 0 is the most significant bit
     weights = 1 << np.arange(m - 1, -1, -1)
@@ -131,7 +137,8 @@ def _trace_plan(n: int, ring: bool, keep: tuple) -> tuple[np.ndarray, np.ndarray
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced density matrix on `keep`, tracing out the remaining sites:
-    one gather from the buffer and one bincount."""
+    one gather from the buffer and one bincount.  Keeping every site in
+    order returns rho itself."""
     keep = tuple(keep)
     n = rho.n_sites
     if not keep:
@@ -140,7 +147,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise DensityMatrixError(f"duplicate sites in keep list {list(keep)}")
     if any(not 0 <= s < n for s in keep):
         raise DensityMatrixError(f"sites {list(keep)} out of range for {n} sites")
-    pos, slots = _trace_plan(n, rho._ring, keep)
+    if keep == tuple(range(n)):
+        return rho
+    pos, slots = _trace_plan(rho.layout, keep)
     d = 2 ** len(keep)
     reduced = np.bincount(slots, rho.buffer[pos].view(float), minlength=2 * d * d)
     return DensityMatrix(reduced.view(complex).reshape(d, d),
@@ -164,7 +173,7 @@ def concurrence(rho_pair: DensityMatrix) -> float:
     """
     if rho_pair.dim != 4:
         raise DensityMatrixError("concurrence needs a 4x4 two-site matrix")
-    r = rho_pair._dense()
+    r = rho_pair.entries
     r_tilde = _YY @ r.conj() @ _YY
     lam = np.sort(np.linalg.svd(_sqrt_psd(r) @ _sqrt_psd(r_tilde),
                                 compute_uv=False))
@@ -200,7 +209,7 @@ def two_tangle(rho: DensityMatrix, n: int) -> float:
 def one_tangle(rho: DensityMatrix) -> float:
     """tau_1 = 4 det rho_1 for the single-site reduced matrix of site 0."""
     r1 = partial_trace(rho, [0])
-    return float(4.0 * np.real(np.linalg.det(r1._dense())))
+    return float(4.0 * np.real(np.linalg.det(r1.entries)))
 
 
 def chirality_expectation(rho: DensityMatrix, k: np.ndarray | None = None) -> float:
@@ -209,16 +218,12 @@ def chirality_expectation(rho: DensityMatrix, k: np.ndarray | None = None) -> fl
     product.  Without k, the sum runs over the nonzeros of the ring's K in
     its operator pattern, with no dense K.  A dense k is read only inside
     rho's blocks, outside which rho vanishes."""
-    n = rho.n_sites
     if k is None:
-        pat = _pattern(n)
-        return float(np.real(np.vdot(pat.k, rho.buffer[_ring_plan(n)[1] if rho._ring
-                                                       else pat.index])))
-    if not rho._ring:
-        return float(np.real(np.vdot(k, rho.buffer)))
+        return float(np.real(np.vdot(_pattern(rho.n_sites).k,
+                                     rho.buffer[_pattern_positions(rho.layout)])))
     k = np.asarray(k)
     return float(np.real(sum(np.vdot(k[basis[:, None], basis], block)
-                             for _, basis, block in _blocks(_ring_plan(n)[0], rho.buffer))))
+                             for _, basis, block in _blocks(rho.layout, rho.buffer))))
 
 
 def threshold_temperature(params: ChainParams, t_lo: float, t_hi: float) -> float:

@@ -106,13 +106,17 @@ class _Layout(NamedTuple):
     concatenation and `labels` the magnetization of each concatenated level.
     `groups` lists, for each block size d, the positions in `sectors` of the
     blocks of that size and the buffer offset from which they sit back to
-    back as one (m, d, d) stack."""
+    back as one (m, d, d) stack.  Layouts compare and hash by identity, so
+    that plans on a layout can be cached under it."""
 
     sectors: tuple
     starts: np.ndarray
     labels: np.ndarray
     groups: tuple
     size: int
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def _layout(sectors: dict) -> _Layout:
@@ -140,9 +144,18 @@ def _ring_plan(n: int) -> tuple[_Layout, np.ndarray]:
     values = np.rint(pat.sz[pat.index % (dim + 1) == 0].real).astype(int)
     # a set, not np.unique, whose first call imports numpy.ma (1.6 MB)
     layout = _layout({v: np.flatnonzero(values == v) for v in set(values.tolist())})
+    return layout, _pattern_positions(layout)
+
+
+@lru_cache(maxsize=None)
+def _pattern_positions(layout: _Layout) -> np.ndarray:
+    """For every nonzero of `_pattern(n)`, its position in the buffer of
+    `layout`, a layout of the n-site basis whose blocks each hold every
+    nonzero whose row they hold."""
+    dim = layout.labels.size
     _, head, local = _placement(layout)
-    row, col = np.divmod(pat.index, dim)
-    return layout, head[row] + local[col]
+    row, col = np.divmod(_pattern(dim.bit_length() - 1).index, dim)
+    return head[row] + local[col]
 
 
 def _placement(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,10 +2,12 @@
 Kubo susceptibilities and thermal fidelity against the dense 2^n x 2^n
 formulas they replaced, which stay here as the oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ottochain.correlations import (DensityMatrix, _sqrt_psd,
+from ottochain.correlations import (DensityMatrix, DensityMatrixError, _sqrt_psd,
                                     chirality_expectation, density_matrix,
                                     partial_trace)
 from ottochain.model import ChainParams, build_chirality_operator, build_total_sz
@@ -41,13 +43,13 @@ def dense_partial_trace(rho, keep):
 
 def oracle_keeps(n):
     """Every single site; (0, r), (r, 0) and (1, 1 + r) for every distance
-    r; and one three-site keep, out of site order."""
+    r; one three-site keep, out of site order; and every site."""
     keeps = [(s,) for s in range(n)]
     for r in range(1, n):
         keeps += [(0, r), (r, 0), (1, (1 + r) % n)]
     if n >= 3:
         keeps.append((2, 0, 1))
-    return keeps
+    return keeps + [tuple(range(n))]
 
 
 def assert_blocks_match_dense(rho, dense, k):
@@ -153,10 +155,15 @@ def test_production_paths_build_no_dense_density_matrix(monkeypatch, tmp_path):
     from ottochain.correlations import threshold_temperature
     from ottochain.otto import CycleMode, CycleSpec, efficiency_sweep
 
-    def dense_entries(self):
-        raise AssertionError("a production path assembled DensityMatrix.entries")
+    assemble = DensityMatrix.entries.fget
 
-    monkeypatch.setattr(DensityMatrix, "entries", property(dense_entries))
+    def entries(self):
+        if self.dim > 4:
+            raise AssertionError("a production path assembled a dense "
+                                 f"{self.dim} x {self.dim} DensityMatrix")
+        return assemble(self)
+
+    monkeypatch.setattr(DensityMatrix, "entries", property(entries))
     for sweep in ("t:2:20:3", "e-field:1:5:3"):
         assert main(["tangles", "--n", "8", "--sweep", sweep,
                      "--out", str(tmp_path / "tangles.csv")]) == 0
@@ -187,3 +194,10 @@ def test_production_paths_build_no_dense_operator(monkeypatch, tmp_path):
     for command in ("susceptibility", "tangles"):
         assert main([command, "--n", "4", "--sweep", "t:2:20:3",
                      "--out", str(tmp_path / f"{command}.csv")]) == 0
+
+
+def test_density_matrix_rejects_sectors_out_of_layout_order():
+    spec = diagonalize_params(ChainParams(4, b=1.0, e_field=2.0))
+    shuffled = dataclasses.replace(spec, sectors=spec.sectors[::-1])
+    with pytest.raises(DensityMatrixError, match="4-site ring layout"):
+        density_matrix(gibbs(shuffled, 5.0))
