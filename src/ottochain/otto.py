@@ -7,8 +7,9 @@ cold bath at the low field; the adiabatic strokes only change the field.
   at its own field, Q_in = sum_n E_n(p_high) [P_n(T_hot) - P_n(T_cold)] and
   the same at p_low for Q_out.
 * quantum-adiabatic: level populations are frozen along the adiabats and
-  transported between fields with the adiabatic LevelMap, so the isochores
-  start from the carried-over populations.
+  transported between fields with the adiabatic LevelMap, which keeps each
+  level's (s^z, k) block and its rank inside it, so the isochores start
+  from the carried-over populations.
 
 Efficiency is (Q_in - Q_out)/Q_in; rows with Q_in <= 0 or negative work are
 flagged as non-engine regimes rather than silently reported.
@@ -23,7 +24,7 @@ import numpy as np
 
 from .correlations import density_matrix, one_tangle, two_tangle
 from .model import ChainParams
-from .spectra import LevelMap, Spectrum, continue_levels, diagonalize_params
+from .spectra import LevelMap, Spectrum, _level_maps, continue_levels, diagonalize_params
 from .thermal import gibbs
 
 
@@ -98,13 +99,15 @@ def _cycle(hi: Spectrum, lo: Spectrum, t_hot: float, t_cold: float,
 
 def run_cycle(spec: CycleSpec, level_map: LevelMap | None = None) -> CycleResult:
     """Evaluate one cycle.  A precomputed LevelMap from p_low to p_high may
-    be passed to quantum-mode calls that share the continuation; the
-    spectrum at p_high that the map carries, or that the cycle's own
-    continuation reaches, serves the cycle."""
+    be passed to quantum-mode calls that share it; the spectrum at p_high
+    that the map carries, or that the cycle's own level map reaches, serves
+    the cycle."""
     lo = diagonalize_params(spec.params.replace(e_field=spec.p_low))
     if spec.mode is CycleMode.QUANTUM and level_map is None:
-        level_map = continue_levels(spec.params, spec.p_low, spec.p_high, start=lo)
-    if (level_map is not None and level_map.e_to == spec.p_high
+        level_map = continue_levels(spec.params, spec.p_low, spec.p_high)
+    if spec.p_high == spec.p_low:
+        hi = lo     # the same levels at both fields: an idle cycle does no work
+    elif (level_map is not None and level_map.e_to == spec.p_high
             and level_map.spectrum is not None):
         hi = level_map.spectrum
     else:
@@ -131,23 +134,25 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
     tangles of the hot-bath equilibrium state at that field.  `spec.mode`
     is not read; every row carries the quantum and the thermodynamic cycle.
 
-    The level map is continued from p_low through the grid in ascending
-    order, so the whole sweep costs one traversal of the field range, and
-    each node's spectrum from that traversal serves both cycles and the
-    tangles of its row; no node and not p_low is diagonalized again.
+    One level map walks from p_low through the grid in ascending order:
+    p_low and each node are solved once, in one stack, and each node's
+    spectrum from that walk serves both cycles and the tangles of its row.
+    The spectrum at p_low is the one `run_cycle` takes, so that every row
+    is the cycle `run_cycle` gives with the same map.
     """
     p_grid = [float(p) for p in p_grid]
     if not p_grid or any(p <= 0 for p in p_grid):
         raise ValueError("field grid must be nonempty and positive")
 
     lo = diagonalize_params(spec.params.replace(e_field=spec.p_low))
-    level_map = LevelMap(np.arange(lo.dim), spec.p_low, spec.p_low, lo)
+    order = np.argsort(p_grid)
+    maps = _level_maps(spec.params, [spec.p_low] + [p_grid[k] for k in order])
+    next(maps)
     rows: list = [None] * len(p_grid)
-    for k in np.argsort(p_grid):
+    # maps first, so that the walk runs to its end and logs its counts
+    for level_map, k in zip(maps, order):
         p = p_grid[k]
-        level_map = level_map.compose(continue_levels(
-            spec.params, level_map.e_to, p, start=level_map.spectrum))
-        hi = level_map.spectrum
+        hi = lo if p == spec.p_low else level_map.spectrum
         thermo = _cycle(hi, lo, spec.t_hot, spec.t_cold)
         quantum = _cycle(hi, lo, spec.t_hot, spec.t_cold, level_map.permutation)
         hot_state = density_matrix(gibbs(hi, spec.t_hot))

@@ -1,18 +1,29 @@
-"""Diagonalization with total-s^z sector blocking, and adiabatic level
-identification across changes of the electric field.
+"""Diagonalization with total-s^z sector blocking, and adiabatic level maps
+across changes of the electric field.
 
 Within each magnetization sector the Hamiltonian is a dense Hermitian block.
 The ring's blocks are filled straight from the operator pattern into one
 buffer, and the blocks of equal size are solved by one stacked eigensolve;
-a Spectrum keeps its eigenvectors as those blocks.  Levels are tracked
-across field values by composing per-step eigenvector overlap matchings,
-which never mix sectors; the continuation solves and matches a chunk of
-consecutive fields at a time, with the blocks of all its fields in one
-stack per block size.
+a Spectrum keeps its eigenvectors as those blocks.
+
+A level map labels every level by its magnetization and its momentum k.  H,
+K and total s^z commute with the one-site translation, so each s^z sector
+splits into (s^z, k) blocks (Sandvik, arXiv:1101.3281 sec. 4), whose
+operators are built once per ring size.  By the non-crossing rule (von
+Neumann & Wigner, Phys. Z. 30, 467 (1929)) the levels of one block do not
+cross, so along the field a level keeps its rank inside its block.  The
+fields of a map are solved once, one stacked eigensolve per block size, and
+a step between two of them is bisected while some in-block overlap
+|<k(a)|k(b)>|^2 is not above 1/2, until it is an exact crossing, from a
+symmetry the labels miss: the largest overlaps permute the block's levels,
+and every pair they swap is degenerate at one end of the step (gap below
+1e-9 max(1, |E|)).  There the levels follow their overlaps.  The spectra
+come back in s^z-block form.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -21,13 +32,14 @@ import numpy as np
 
 from .model import ChainParams, _field_free_values, _pattern
 
-OVERLAP_THRESHOLD = 0.7
-MAX_REFINEMENT = 2 ** 10
-DEFAULT_STEPS_PER_UNIT = 64
-# continue_levels solves the fields of its grid in chunks whose block
-# buffers fill at most this many bytes (8 fields at n=6, 1 from n=8): this
-# bounds its memory and the work a continuation that fails early wastes
-CHUNK_BYTES = 2 ** 17
+# relative gap below which two levels of a block count as degenerate
+DEGENERATE = 1e-9
+# substeps a level map may cut one step between the caller's fields into:
+# enough for the gap of an exact crossing inside a step of 10 to fall below
+# DEGENERATE at a substep's end
+MAX_REFINEMENT = 2 ** 40
+
+log = logging.getLogger("ottochain")
 
 
 class DiagonalizationError(RuntimeError):
@@ -35,7 +47,7 @@ class DiagonalizationError(RuntimeError):
 
 
 class ContinuationError(RuntimeError):
-    """Level matching stayed ambiguous at the maximum step refinement."""
+    """A level map stayed ambiguous at the maximum step refinement."""
 
 
 @dataclass(frozen=True)
@@ -83,8 +95,10 @@ class LevelMap:
     """Adiabatic identification of levels between two field values.
 
     permutation[i] is the level index at e_to of the level with index i at
-    e_from (indices into the ascending-energy ordering at each field).
-    `spectrum`, when known, is the spectrum at e_to.
+    e_from (indices into the ascending-energy ordering at each field).  The
+    level keeps its (s^z, k) block and its rank inside it, except across an
+    exact crossing.  `spectrum`, when known, is the spectrum at e_to, from
+    the map's own solve in s^z-block form.
     """
 
     permutation: np.ndarray
@@ -218,6 +232,8 @@ def _solve_fields(params: ChainParams, fields) -> list[tuple[np.ndarray, np.ndar
     return _eigh_stacks(layout, buf)
 
 
+
+
 def _spectrum(layout: _Layout, solved, i: int) -> Spectrum:
     """The Spectrum of field i of `solved`, the output of `_eigh_stacks`."""
     values = [None] * len(layout.sectors)
@@ -225,6 +241,12 @@ def _spectrum(layout: _Layout, solved, i: int) -> Spectrum:
     for (_, members, _), (ev, vec) in zip(layout.groups, solved):
         for s, e, v in zip(members, ev[i], vec[i]):
             values[s], vectors[s] = e, v
+    return _assemble(layout, values, vectors)
+
+
+def _assemble(layout: _Layout, values, vectors) -> Spectrum:
+    """The Spectrum of the eigenvalues and eigenvector blocks of every
+    sector of `layout`, in its order."""
     energies = np.concatenate(values)
     order = np.argsort(energies, kind="stable")
     rank = np.empty(energies.size, dtype=int)
@@ -234,21 +256,6 @@ def _spectrum(layout: _Layout, solved, i: int) -> Spectrum:
     return Spectrum(energies[order], layout.labels[order], blocks)
 
 
-def _stacked(layout: _Layout, specs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Spectra whose sectors follow `layout`, in the form `_eigh_stacks`
-    returns, one entry of the leading axis per spectrum."""
-    return [(np.array([[spec.energies[spec.sectors[s].levels] for s in members]
-                       for spec in specs]),
-             np.array([[spec.sectors[s].vectors for s in members] for spec in specs]))
-            for _, members, _ in layout.groups]
-
-
-def _levels(spec: Spectrum) -> np.ndarray:
-    """Position in the ascending order of each level, listed sector after
-    sector as the layout concatenates them."""
-    return np.concatenate([s.levels for s in spec.sectors])
-
-
 def diagonalize_params(params: ChainParams) -> Spectrum:
     """Spectrum of the ring Hamiltonian, which is Hermitian and conserves
     total s^z by construction; its s^z blocks are filled straight from the
@@ -256,135 +263,207 @@ def diagonalize_params(params: ChainParams) -> Spectrum:
     return _spectrum(_ring_plan(params.n)[0], _solve_fields(params, [params.e_field]), 0)
 
 
-def _match(layout: _Layout, span) -> tuple[np.ndarray, np.ndarray]:
-    """Within-sector assignments maximizing the total squared overlap,
-    between consecutive fields of `span` (s + 1 fields in the form
-    `_eigh_stacks` returns).
+@lru_cache(maxsize=None)
+def _momentum_plan(n: int) -> tuple[_Layout, np.ndarray, list]:
+    """The (s^z, k) blocks of the n-site ring: their layout, keyed by block
+    number; bond1, bond2, total s^z and K of `_pattern(n)` in that layout's
+    buffer, one row each; and per block its s^z sector and the matrix of
+    its momentum states on the sector basis.  The translation T moves every
+    spin one site on.  An orbit of length R with smallest state r carries
+    |r, k> = R^-1/2 sum_j e^{-ikj} T^j |r> for each k = 2 pi m / n with
+    m R = 0 mod n, whose amplitude on x is e^{ik j_x} / sqrt(R), with
+    T^{j_x} x = r."""
+    sectors = _ring_plan(n)[0].sectors
+    x = np.arange(2 ** n)
+    images = np.array([((x >> j) | (x << (n - j))) & (x.size - 1) for j in range(n)])
+    rep, shift = images.min(axis=0), images.argmin(axis=0)
+    period = np.argmax(np.vstack([images[1:], images[:1]]) == x, axis=0) + 1
+    pat = _pattern(n)
+    ops = [_ring_blocks(n, values) for values in (pat.bond1, pat.bond2, pat.sz, pat.k)]
+    blocks = []
+    for s, (_, basis) in enumerate(sectors):
+        for m in range(n):
+            reps = basis[(m * period[basis] % n == 0) & (rep[basis] == basis)]
+            u = (rep[basis][:, None] == reps) * (np.exp(2j * np.pi * m * shift[basis] / n)
+                                                  / np.sqrt(period[basis]))[:, None]
+            if reps.size:
+                blocks.append((s, u, [u.conj().T @ op[s] @ u for op in ops]))
+    layout = _layout({b: np.arange(u.shape[1]) for b, (_, u, _) in enumerate(blocks)})
+    buf = np.concatenate([np.stack([blocks[b][2] for b in members], axis=1).reshape(4, -1)
+                          for _, members, _ in layout.groups], axis=1)
+    return layout, buf, [(s, u) for s, u, _ in blocks]
 
-    Returns, per step, the position at the later field of every level, as
-    positions in the layout's concatenation of the sectors' levels (s, dim),
-    and the worst matched |overlap| (s,).  Levels that have a neighbour in
-    their sector closer than 1e-9 max(1, max|E|), with E the energies at the
-    earlier field, on both sides of the step are exempt from the
-    worst-overlap statistic: any rotation inside a degenerate cluster is
-    physically irrelevant.
 
-    An overlap block is unitary, so its rows have unit norm; when every
-    diagonal |O_kk|^2 exceeds 1/2 (with a 1e-6 margin for round-off), every
-    other entry of a row is below its diagonal one, and the identity is the
-    unique maximizer, which `linear_sum_assignment` would return.  Only the
-    other blocks are passed to it.
-    """
-    # deferred: scipy.optimize would otherwise load with every import
-    from scipy.optimize import linear_sum_assignment
+def _momentum_spectrum(plan, solved, i: int) -> tuple[Spectrum, np.ndarray]:
+    """The Spectrum of field i of `solved` (the blocks of `plan`, as
+    `_eigh_stacks` returns them) in s^z-block form, and its level index for
+    every stack position: a level's place in that return."""
+    layout, _, blocks = plan
+    sectors = _ring_plan(layout.labels.size.bit_length() - 1)[0]
+    parts = [[] for _ in sectors.sectors]
+    pos = 0
+    for (d, members, _), (ev, vec) in zip(layout.groups, solved):
+        for b, e, w in zip(members, ev[i], vec[i]):
+            s, u = blocks[b]
+            parts[s].append((e, u @ w, np.arange(pos, pos + d)))
+            pos += d
+    values, vectors, where = [], [], []
+    for e, v, p in ((np.concatenate(x, axis=-1) for x in zip(*part)) for part in parts):
+        order = np.argsort(e, kind="stable")
+        values.append(e[order])
+        vectors.append(v[:, order])
+        where.append(p[order])
+    spec = _assemble(sectors, values, vectors)
+    index = np.empty(pos, dtype=int)
+    index[np.concatenate(where)] = np.concatenate([s.levels for s in spec.sectors])
+    return spec, index
 
-    steps = span[0][0].shape[0] - 1
-    scale = np.max([np.abs(ev[:-1]).max(axis=(1, 2)) for ev, _ in span], axis=0)
-    tol = 1e-9 * np.maximum(1.0, scale)[:, None, None]
-    moves = np.empty((steps, layout.labels.size), dtype=int)
-    worst = np.ones(steps)
-    for (d, members, _), (ev, vec) in zip(layout.groups, span):
-        gap = np.diff(ev, axis=-1)
-        degenerate = []
-        for close in (gap[:-1] < tol, gap[1:] < tol):
-            mask = np.zeros(close.shape[:-1] + (d,), dtype=bool)
-            mask[..., 1:] = close
-            mask[..., :-1] |= close
-            degenerate.append(mask)
-        overlap = np.abs(np.matmul(vec[:-1].conj().swapaxes(-1, -2), vec[1:]))
-        matched = np.diagonal(overlap, axis1=-2, axis2=-1).copy()
-        exempt = degenerate[0] & degenerate[1]
-        pos = layout.starts[members][:, None] + np.arange(d)
-        moves[:, pos] = pos
-        for i, j in zip(*np.nonzero(~np.all(matched ** 2 > 0.5 + 1e-6, axis=-1))):
-            cols = linear_sum_assignment(-(overlap[i, j] ** 2))[1]
-            matched[i, j] = overlap[i, j, np.arange(d), cols]
-            exempt[i, j] = degenerate[0][i, j] & degenerate[1][i, j, cols]
-            moves[i, pos[j]] = pos[j, cols]
-        worst = np.minimum(worst, np.where(exempt, 1.0, matched).min(axis=(1, 2)))
-    return moves, worst
+
+class LevelMapCounts:
+    """Work of level maps: fields solved, steps bisected, exact crossings
+    followed, and the worst in-block overlap |<k(a)|k(b)>| of a step taken
+    (levels degenerate at both ends left out)."""
+
+    def __init__(self):
+        self.fields = self.bisections = self.crossings = 0
+        self.worst_overlap = 1.0
+
+    def add(self, other: "LevelMapCounts") -> None:
+        self.fields += other.fields
+        self.bisections += other.bisections
+        self.crossings += other.crossings
+        self.worst_overlap = min(self.worst_overlap, other.worst_overlap)
+
+
+COUNTS = LevelMapCounts()   # every level map of this process
+
+
+def _degenerate(ev: np.ndarray) -> np.ndarray:
+    """The levels (eigenvalues ascending on the last axis) with a neighbour
+    closer than DEGENERATE max(1, |E|)."""
+    close = np.diff(ev, axis=-1) < DEGENERATE * np.maximum(1.0, np.abs(ev[..., 1:]))
+    mask = np.zeros(ev.shape, dtype=bool)
+    mask[..., 1:] = close
+    mask[..., :-1] |= close
+    return mask
+
+
+def _kept(sa, sb) -> list[np.ndarray]:
+    """Per block size, the in-block overlap |<k(a)|k(b)>| of every level
+    from the solves `sa` to those of `sb` (outputs of `_eigh_stacks`, one
+    step per entry of the leading axis), 1 for levels degenerate at both
+    ends: any rotation inside a degenerate cluster is irrelevant."""
+    return [np.where(_degenerate(ea) & _degenerate(eb), 1.0,
+                     np.abs(np.einsum("...ji,...ji->...i", va.conj(), vb)))
+            for (ea, va), (eb, vb) in zip(sa, sb)]
+
+
+class _Walk:
+    """The solves, steps and counts of one level map of the ring of
+    `params`.  A step gives the stack position at its end of every stack
+    position at its start, or None where every level keeps its rank."""
+
+    def __init__(self, params: ChainParams):
+        self.params, self.plan, self.counts = params, _momentum_plan(params.n), LevelMapCounts()
+
+    def solve(self, fields) -> list:
+        """The momentum blocks at every field, as `_eigh_stacks` returns them."""
+        fields = np.asarray(fields, dtype=float)
+        p, (layout, ops, _) = self.params, self.plan
+        buf = np.array([-p.j1, -p.j2, -p.b]) @ ops[:3] - fields[:, None] * ops[3]
+        self.counts.fields += fields.size
+        return _eigh_stacks(layout, buf)
+
+    def step(self, a: float, b: float, sa, sb, factor: int = 1) -> np.ndarray | None:
+        """The step from field a to field b, solved as `sa` and `sb`,
+        bisected until each of its parts can be taken."""
+        taken, moves = self.take(sa, sb)
+        if taken:
+            return moves
+        if factor >= MAX_REFINEMENT:
+            raise ContinuationError(f"ambiguous level matching near e_field={b:g} "
+                                    "at maximum refinement")
+        self.counts.bisections += 1
+        mid = 0.5 * (a + b)
+        sm = self.solve([mid])
+        left, right = self.step(a, mid, sa, sm, 2 * factor), self.step(mid, b, sm, sb, 2 * factor)
+        return left if right is None else right if left is None else right[left]
+
+    def take(self, sa, sb) -> tuple[bool, np.ndarray | None]:
+        """Whether a step can be taken, and its moves.  Rank holds in a
+        block when every in-block overlap |<k(a)|k(b)>|^2 is above 1/2.
+        Elsewhere the step must cross exactly: the largest overlaps pick a
+        permutation of the block's levels, every pair of levels that it
+        swaps is degenerate at one end of the step, and the levels follow
+        the overlaps."""
+        moves, crossed, first, worst = None, 0, 0, 1.0
+        for (ea, va), (eb, vb), kept in zip(sa, sb, _kept(sa, sb)):
+            count, d = ea.shape[1:]
+            for j in np.flatnonzero(np.any(kept[0] ** 2 <= 0.5, axis=-1)):
+                e0, e1 = ea[0, j], eb[0, j]
+                overlap = np.abs(va[0, j].conj().T @ vb[0, j])
+                # levels degenerate at both ends, kept at exactly 1, keep their rank
+                follow = np.where(kept[0, j] == 1.0, np.arange(d), overlap.argmax(axis=1))
+                pairs = [(x, y) for x in range(d) for y in range(x + 1, d) if follow[x] > follow[y]]
+                if not pairs or len(set(follow.tolist())) < d or any(
+                        min(e0[y] - e0[x], e1[follow[x]] - e1[follow[y]])
+                        >= DEGENERATE * max(1.0, abs(e0[y]), abs(e1[follow[x]]))
+                        for x, y in pairs):
+                    return False, None
+                moves = np.arange(self.plan[0].labels.size) if moves is None else moves
+                pos = first + j * d + np.arange(d)
+                moves[pos] = pos[follow]
+                kept[0, j] = overlap[np.arange(d), follow]
+                crossed += 1
+            first += count * d
+            worst = min(worst, kept.min(initial=1.0))
+        self.counts.crossings += crossed
+        self.counts.worst_overlap = min(self.counts.worst_overlap, worst)
+        return True, moves
+
+
+def _level_maps(params: ChainParams, fields):
+    """The level maps from fields[0] to each of `fields`, in order, each
+    with the spectrum at its field.  The distinct fields are solved in one
+    stack and walked in the given order; a field equal to the one before it
+    is not solved again.  When the last map is out, the walk's counts are
+    added to COUNTS and logged at DEBUG level."""
+    fields = np.asarray(fields, dtype=float)
+    new = np.r_[True, np.diff(fields) != 0]
+    walk = _Walk(params)
+    solved = walk.solve(fields[new])
+    at = [[(ev[i:i + 1], vec[i:i + 1]) for ev, vec in solved] for i in range(new.sum())]
+    worst = np.min([kept.min(axis=(1, 2)) for kept in _kept(
+        [(ev[:-1], vec[:-1]) for ev, vec in solved], [(ev[1:], vec[1:]) for ev, vec in solved])],
+        axis=0, initial=1.0)
+    ok = worst ** 2 > 0.5
+    walk.counts.worst_overlap = float(worst[ok].min(initial=1.0))
+    track = np.arange(walk.plan[0].labels.size)
+    for k, i in enumerate(np.cumsum(new) - 1):
+        if new[k]:
+            move = None if i == 0 or ok[i - 1] else walk.step(
+                fields[k - 1], fields[k], at[i - 1], at[i])
+            track = track if move is None else move[track]
+            spec, index = _momentum_spectrum(walk.plan, solved, i)
+            origin = index if i == 0 else origin
+            perm = np.empty(track.size, dtype=int)
+            perm[origin] = index[track]
+        yield LevelMap(perm, float(fields[0]), float(fields[k]), spec)
+    c = walk.counts
+    COUNTS.add(c)
+    log.debug("level map from e_field=%g over %d fields: %d fields solved, %d bisections, "
+              "%d exact crossings, worst in-block overlap %.6f", fields[0], fields.size,
+              c.fields, c.bisections, c.crossings, c.worst_overlap)
 
 
 def continue_levels(params: ChainParams, e_from: float, e_to: float,
-                    steps: int | None = None,
-                    start: Spectrum | None = None) -> LevelMap:
-    """Track every level from e_field=e_from to e_field=e_to.
-
-    Composes per-step maximal-overlap matchings within each s^z sector; a
-    step whose worst matched |overlap| falls below 0.7 is bisected, with a
-    total refinement budget of 2^10 substeps per original step.  `start`,
-    if given, must be the spectrum of params at e_from, which is then not
-    diagonalized again.  The map carries the spectrum it reached at e_to
-    (`start` when the two fields are equal).
-
-    The grid fields are solved and matched in chunks of consecutive fields
-    whose block buffers fill at most CHUNK_BYTES, one stacked eigensolve per
-    block size each, and the substeps of a bisected step one field at a
-    time through the same solve and match; a level is followed by its
-    position inside its sector, and only the spectrum at e_to is assembled.
-    """
-    if steps is None:
-        steps = max(1, int(np.ceil(DEFAULT_STEPS_PER_UNIT * abs(e_to - e_from))))
-    if steps < 1:
+                    steps: int | None = None) -> LevelMap:
+    """The level map from e_field=e_from to e_field=e_to, which carries the
+    spectrum at e_to.  The walk starts from the two fields, or from the
+    steps + 1 fields of an even grid between them; see the module docstring."""
+    if steps is not None and steps < 1:
         raise ValueError("steps must be >= 1")
-    dim = 2 ** params.n
-    if e_from == e_to:
-        return LevelMap(np.arange(dim), e_from, e_to, start)
-
-    grid = np.linspace(e_from, e_to, steps + 1)
-    if start is None:
-        start = diagonalize_params(params.replace(e_field=float(grid[0])))
-    layout = _ring_plan(params.n)[0]
-    chunk = max(1, CHUNK_BYTES // (16 * layout.size))  # complex entries
-    prev = _stacked(layout, (start,))
-    track = np.arange(dim)
-    for first in range(1, steps + 1, chunk):
-        fields = grid[first:first + chunk]
-        span = _join(prev, _solve_fields(params, fields))
-        moves, worst = _match(layout, span)
-        for i, b in enumerate(fields):
-            step = moves[i]
-            if worst[i] < OVERLAP_THRESHOLD:
-                solved_a = [(ev[i:i + 1], vec[i:i + 1]) for ev, vec in span]
-                step = _bisect(params, layout, solved_a, float(grid[first + i - 1]),
-                               float(b), 1)[1]
-            track = step[track]
-        # copies, so that the spectrum at e_to does not hold the whole chunk
-        prev = [(ev[-1:].copy(), vec[-1:].copy()) for ev, vec in span]
-    end = _spectrum(layout, prev, 0)
-    perm = np.empty(dim, dtype=int)
-    perm[_levels(start)] = _levels(end)[track]
-    return LevelMap(perm, e_from, e_to, end)
-
-
-def _join(earlier, later) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Two outputs of `_eigh_stacks` as one, the fields of `earlier` first."""
-    return [(np.concatenate([ea, eb]), np.concatenate([va, vb]))
-            for (ea, va), (eb, vb) in zip(earlier, later)]
-
-
-def _refine_step(params: ChainParams, layout: _Layout, solved_a, a: float, b: float,
-                 factor: int) -> tuple[list, np.ndarray]:
-    """The step from the field a, solved as `solved_a` (one field in the form
-    `_eigh_stacks` returns), to the field b: the blocks solved at b and the
-    position at b of every level, as positions in the layout's concatenation
-    of the sectors' levels.  A step whose worst overlap falls below
-    OVERLAP_THRESHOLD is bisected."""
-    solved_b = _solve_fields(params, [b])
-    moves, worst = _match(layout, _join(solved_a, solved_b))
-    if worst[0] >= OVERLAP_THRESHOLD:
-        return solved_b, moves[0]
-    if factor >= MAX_REFINEMENT:
-        raise ContinuationError(
-            f"ambiguous level matching near e_field={b:g} "
-            f"(worst overlap {worst[0]:.3f} at maximum refinement)")
-    return _bisect(params, layout, solved_a, a, b, factor)
-
-
-def _bisect(params: ChainParams, layout: _Layout, solved_a, a: float, b: float,
-            factor: int) -> tuple[list, np.ndarray]:
-    """The step from a to b as two half steps, each refined again."""
-    mid = 0.5 * (a + b)
-    solved_m, left = _refine_step(params, layout, solved_a, a, mid, factor * 2)
-    solved_b, right = _refine_step(params, layout, solved_m, mid, b, factor * 2)
-    return solved_b, right[left]
+    for level_map in _level_maps(params, [e_from, e_to] if steps is None
+                                 else np.linspace(e_from, e_to, steps + 1)):
+        pass
+    return level_map

@@ -83,6 +83,43 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_otto_sweep_logs_its_level_map_counts(tmp_path, monkeypatch, caplog):
+    # the README sweep at DEBUG: one line for its level map, which solves
+    # the 22 fields once each and bisects no step
+    monkeypatch.setenv("OTTO_LOG", "DEBUG")
+    caplog.set_level(logging.DEBUG, logger="ottochain")
+    code, _ = run_cli(["otto", "--t-hot", "30", "--t-cold", "10", "--e-field-low",
+                       "3.5", "--sweep", "e-field:3.5:14:22"], tmp_path)
+    assert code == 0
+    message, = [r.getMessage() for r in caplog.records
+                if r.name == "ottochain" and r.levelno == logging.DEBUG]
+    assert message.startswith("level map from e_field=3.5 over 23 fields: 22 fields "
+                              "solved, 0 bisections, 0 exact crossings, worst in-block "
+                              "overlap ")
+
+
+def test_quantum_cycles_load_no_scipy():
+    # scipy is a test dependency only: a quantum sweep, the n=6 zero-field
+    # cycle, whose level map follows the exact crossing at p=2.0, and a
+    # quantum size scaling run without it
+    src = os.path.dirname(os.path.dirname(ottochain.__file__))
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import numpy as np\n"
+        "from ottochain import (ChainParams, CycleMode, CycleSpec, efficiency_sweep,\n"
+        "                       run_cycle, size_scaling)\n"
+        "ring = ChainParams(6, 1.0, -1.0, 1.0, 0.0)\n"
+        "quantum = CycleMode.QUANTUM\n"
+        "efficiency_sweep(CycleSpec(ring, 30.0, 10.0, 14.0, 3.5, quantum),\n"
+        "                 np.linspace(3.5, 14.0, 22))\n"
+        "run_cycle(CycleSpec(ring, 30.0, 10.0, 10.0, 0.0, quantum))\n"
+        "size_scaling(CycleSpec(ring, 30.0, 10.0, 10.0, 3.5, quantum), range(3, 9))\n"
+        "print('scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_tangles_temperature_sweep_diagonalizes_once(tmp_path, monkeypatch):
     from ottochain import cli
     from ottochain.correlations import (chirality_expectation, concurrence,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import continuation_oracle as oracle
 from ottochain import spectra
 from ottochain.correlations import density_matrix, one_tangle, two_tangle
 from ottochain.model import ChainParams
@@ -119,30 +120,37 @@ def test_sweep_matches_individual_cycles():
 
 
 def count_solves(monkeypatch):
-    """The fields solved from now on, one entry per field of every stack
-    that `spectra._solve_fields` solves: every ring spectrum, of
-    `diagonalize_params` and of the continuation, is solved there."""
+    """The fields solved from now on, one entry per field of every stack:
+    in s^z blocks by `spectra._solve_fields`, which solves every
+    `diagonalize_params`, and in (s^z, k) blocks by the level maps'
+    `spectra._Walk.solve`."""
     calls = []
-    solve = spectra._solve_fields
+    solve, walk_solve = spectra._solve_fields, spectra._Walk.solve
 
     def counting(params, fields):
         calls.extend(float(f) for f in fields)
         return solve(params, fields)
 
+    def walk_counting(walk, fields):
+        calls.extend(float(f) for f in fields)
+        return walk_solve(walk, fields)
+
     monkeypatch.setattr(spectra, "_solve_fields", counting)
+    monkeypatch.setattr(spectra._Walk, "solve", walk_counting)
     return calls
 
 
 def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
-    # the README's e-field sweep: p_low once, then one traversal of the
-    # grid at 64 steps per unit, 21 segments of 32 steps, whose node
-    # spectra serve both cycles and the tangles; 803 before the reuse
+    # the README's e-field sweep: p_low in s^z blocks for the cycles, then
+    # p_low, which is also the first node, and the 21 other nodes, solved
+    # once in one stack by the level map, whose node spectra serve both
+    # cycles and the tangles; no step is bisected.  The overlap-following
+    # continuation solved 673 fields, 803 before the reuse
     params = ChainParams(6, 1.0, -1.0, 1.0, 0.0)
     grid = np.linspace(3.5, 14.0, 22)
     calls = count_solves(monkeypatch)
     rows = efficiency_sweep(CycleSpec(params, 30.0, 10.0, 14.0, 3.5), grid)
-    assert len(calls) == 673
-    assert len(set(calls)) == 673
+    assert calls == [3.5] + grid.tolist()
     monkeypatch.undo()
 
     level_map, anchor = None, 3.5
@@ -165,24 +173,88 @@ def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
 
 
 def test_quantum_cycle_reuses_the_continuation_spectrum(monkeypatch):
-    # p_low, then the 64 steps of the continuation, which end at p_high
+    # p_low in s^z blocks for the cycle, then p_low and p_high in one stack
+    # of the level map, whose spectrum at p_high serves the cycle
     calls = count_solves(monkeypatch)
     cycle(4.5, mode=CycleMode.QUANTUM)
-    assert len(calls) == 65
-    assert calls[0] == 3.5 and calls[-1] == 4.5
+    assert calls == [3.5, 3.5, 4.5]
 
 
 @pytest.mark.parametrize("mode", [CycleMode.THERMO, CycleMode.QUANTUM])
 def test_mapped_cycle_reuses_the_map_spectrum(monkeypatch, mode):
     # a map that reaches p_high carries its spectrum there: only p_low is
-    # solved, and the cycle is the one computed without the map
+    # solved, and the cycle is the one computed without the map.  A thermo
+    # cycle without a map solves p_high in s^z blocks, the map solved it in
+    # (s^z, k) blocks: those agree to rounding
     level_map = continue_levels(RING, 3.5, 9.0)
     spec = CycleSpec(RING, 30.0, 10.0, 9.0, 3.5, mode)
     calls = count_solves(monkeypatch)
     with_map = run_cycle(spec, level_map=level_map)
     assert calls == [3.5]
     monkeypatch.undo()
-    assert with_map == run_cycle(spec)
+    without = run_cycle(spec)
+    if mode is CycleMode.QUANTUM:
+        assert with_map == without
+    else:
+        assert (with_map.carnot, with_map.is_engine) == (without.carnot, without.is_engine)
+        for got, want in ((with_map.q_in, without.q_in), (with_map.q_out, without.q_out),
+                          (with_map.efficiency, without.efficiency)):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_readme_sweep_rows_equal_the_oracle(n):
+    # the README grid at four magnetic fields: the labelled map's quantum
+    # efficiencies against the overlap-following oracle composed node to
+    # node on its default grid of 64 steps per unit field.  At n=6, b=1.3,
+    # p=11.5 the cycle is no engine, Q_in = -0.0064 and eta = 128.7, so the
+    # tolerance is relative there
+    grid = np.linspace(3.5, 14.0, 22)
+    for b in (0.7, 1.0, 1.3, 1.9):
+        params = ChainParams(n, 1.0, -1.0, b, 0.0)
+        rows = efficiency_sweep(CycleSpec(params, 30.0, 10.0, 14.0, 3.5), grid)
+        level_map, anchor = None, 3.5
+        for p, row in zip(grid, rows):
+            segment = oracle.continue_levels(params, anchor, float(p))
+            level_map = segment if level_map is None else level_map.compose(segment)
+            anchor = float(p)
+            quantum = run_cycle(CycleSpec(params, 30.0, 10.0, float(p), 3.5,
+                                          CycleMode.QUANTUM), level_map=level_map)
+            assert row.eta_quantum == pytest.approx(
+                quantum.efficiency, abs=1e-9 * max(1.0, abs(quantum.efficiency)))
+
+
+@pytest.mark.parametrize("b", [1.0, 1.9])
+def test_sweep_rows_do_not_depend_on_the_grid(b):
+    # the README sweep at n=8 on grids of 1, 4 and 16 points per unit field:
+    # the rows at the fields they share are the same
+    params = ChainParams(8, 1.0, -1.0, b, 0.0)
+    tables = []
+    for per_unit in (1, 4, 16):
+        grid = 3.5 + np.arange(10 * per_unit + 1) / per_unit
+        rows = efficiency_sweep(CycleSpec(params, 30.0, 10.0, 13.5, 3.5), grid)
+        tables.append([r for r in rows if float(r.p_high).is_integer() or r.p_high % 1 == 0.5])
+    coarse = {r.p_high: r for r in tables[0]}
+    for table in tables[1:]:
+        for r in table:
+            if r.p_high in coarse:
+                want = coarse[r.p_high]
+                assert r.eta_quantum == pytest.approx(want.eta_quantum, abs=1e-12)
+                assert r.eta_thermo == pytest.approx(want.eta_thermo, abs=1e-12)
+                assert r.quantum_is_engine == want.quantum_is_engine
+
+
+@pytest.mark.parametrize("n,clausius", [(3, -0.6153), (6, -0.6338)])
+def test_zero_field_quantum_cycles_complete(n, clausius):
+    # the two zero-field cycles of the otto-quantum benchmark (p 0 -> 10,
+    # b=1), which the overlap-following continuation could not map
+    # (ContinuationError near p=1.5e-5 at n=6); at n=6 the map follows four
+    # exact crossings, among them the one at p=2.0 in (s^z=0, k=+-2pi/3)
+    params = ChainParams(n, 1.0, -1.0, 1.0, 0.0)
+    res = run_cycle(CycleSpec(params, 30.0, 10.0, 10.0, 0.0, CycleMode.QUANTUM))
+    value = res.q_in / 30.0 - res.q_out / 10.0
+    assert value <= 0.0
+    assert value == pytest.approx(clausius, abs=1e-4)
 
 
 def test_entanglement_efficiency_association():

@@ -1,12 +1,17 @@
+import copy
+import logging
+
 import numpy as np
 import pytest
 
+import continuation_oracle as oracle
+from continuation_oracle import _levels, _match, _stacked
 from ottochain.analytic4 import spectrum4
 from ottochain.model import ChainParams, build_hamiltonian, build_total_sz
 from ottochain import spectra
+from ottochain.otto import CycleMode, CycleSpec, run_cycle
 from ottochain.spectra import (ContinuationError, DiagonalizationError,
-                               _eigh_stacks, _layout, _levels, _match,
-                               _ring_plan, _spectrum, _stacked,
+                               _eigh_stacks, _layout, _ring_plan, _spectrum,
                                continue_levels, diagonalize_params)
 
 HERMITICITY_TOL = 1e-10
@@ -25,7 +30,7 @@ def diagonalize(h, sz):
 
 
 def match_step(spec_a, spec_b):
-    """`_match` for one step between two ring spectra: (permutation a->b of
+    """The oracle's `_match` for one step between two ring spectra: (permutation a->b of
     the level indices, worst matched |overlap|)."""
     layout = _ring_plan(int(spec_a.dim).bit_length() - 1)[0]
     moves, worst = _match(layout, _stacked(layout, (spec_a, spec_b)))
@@ -56,37 +61,6 @@ def match_step_loop(spec_a, spec_b):
             if not (deg_a and deg_b):
                 worst = min(worst, overlap[r, c])
     return perm, worst
-
-
-def continue_levels_loop(params, e_from, e_to, steps=None):
-    """The per-step continuation: one `diagonalize_params` and one
-    `match_step_loop` per grid step, bisecting a step whose worst overlap
-    falls below 0.7 down to 2^10 substeps.  Returns the permutation and the
-    spectrum at e_to."""
-    if steps is None:
-        steps = max(1, int(np.ceil(64 * abs(e_to - e_from))))
-    grid = np.linspace(e_from, e_to, steps + 1)
-    spec = diagonalize_params(params.replace(e_field=float(grid[0])))
-    perm = np.arange(spec.dim)
-    for a, b in zip(grid[:-1], grid[1:]):
-        spec, step = refine_step_loop(params, spec, float(a), float(b), 1)
-        perm = step[perm]
-    return perm, spec
-
-
-def refine_step_loop(params, spec_a, a, b, factor):
-    spec_b = diagonalize_params(params.replace(e_field=b))
-    perm, worst = match_step_loop(spec_a, spec_b)
-    if worst >= 0.7:
-        return spec_b, perm
-    if factor >= 2 ** 10:
-        raise ContinuationError(
-            f"ambiguous level matching near e_field={b:g} "
-            f"(worst overlap {worst:.3f} at maximum refinement)")
-    mid = 0.5 * (a + b)
-    spec_m, left = refine_step_loop(params, spec_a, a, mid, factor * 2)
-    spec_b, right = refine_step_loop(params, spec_m, mid, b, factor * 2)
-    return spec_b, right[left]
 
 
 def test_ground_energy_matches_closed_form():
@@ -199,10 +173,13 @@ def test_continuation_ground_to_ground():
 
 
 def test_continuation_preserves_sectors():
+    # the sectors at both ends are read from the walk's own spectra: levels
+    # degenerate across sectors (five at E=-4 at e_field=0.5) may come out
+    # of another solve in another order
     params = ChainParams(4, 1.0, -1.0, 1.0, 0.0)
-    m = continue_levels(params, 0.5, 8.0)
-    s_from = diagonalize_params(params.replace(e_field=0.5)).sz_sector
-    s_to = diagonalize_params(params.replace(e_field=8.0)).sz_sector
+    start, m = spectra._level_maps(params, [0.5, 8.0])
+    s_from = start.spectrum.sz_sector
+    s_to = m.spectrum.sz_sector
     assert np.array_equal(s_from, s_to[m.permutation])
 
 
@@ -262,40 +239,57 @@ def test_pattern_blocks_equal_dense_oracle(n, b):
                 assert np.max(np.abs(residual)) <= 1e-12 * scale
 
 
-# (path, steps): 16 steps, a single coarse step, and the default 64 per unit
-# over rising and falling fields, some of which raise ContinuationError; the
-# single step from 0.5 to 8.0 is bisected several levels deep at n=6 and n=8
-# and succeeds
+# (path, steps): the two fields alone, 16 steps and a single step, over
+# rising and falling fields
 CONTINUATION_PATHS = [((3.5, 14.0), None), ((1.0, 2.0), None), ((0.5, 8.0), 16),
                       ((6.0, 1.0), None), ((1.5, 2.0), 1), ((0.0, 0.3), None),
                       ((0.5, 8.0), 1)]
 
 
+def cycle_efficiency(params, level_map):
+    """The quantum cycle between the map's two fields, hot at its end."""
+    spec = CycleSpec(params, 30.0, 10.0, level_map.e_to, level_map.e_from,
+                     CycleMode.QUANTUM)
+    return run_cycle(spec, level_map=level_map).efficiency
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
 @pytest.mark.parametrize("b", [0.0, 1.0, 1.7])
 def test_continuation_equals_per_step_loop(n, b):
-    # the chunked continuation against the per-step loop it replaced: the
-    # same permutation and end energies, or the same error, in 99 cases; at
-    # n=8 the two longest paths (992 steps) would take the pairwise oracle
-    # about 10 s per field b
+    # the labelled level map on each path's grid against the oracle on its
+    # default grid of 64 steps per unit field, wherever the oracle succeeds
+    # there (on coarser grids the oracle misses narrow avoided crossings;
+    # see test_level_map_does_not_depend_on_the_grid): every level that is
+    # not degenerate at e_from reaches a level of the same energy at e_to,
+    # and the quantum cycle between the two fields agrees to 1e-9; at n=8
+    # the oracle would take about 1 s on each of the two longest paths
     params = ChainParams(n, 1.0, -1.0, b, 0.0)
     paths = CONTINUATION_PATHS if n < 8 else CONTINUATION_PATHS[1:3] + CONTINUATION_PATHS[4:]
+    oracles = {}
     for (e_from, e_to), steps in paths:
-        try:
-            want = continue_levels_loop(params, e_from, e_to, steps)
-        except ContinuationError as exc:
-            with pytest.raises(ContinuationError) as got:
-                continue_levels(params, e_from, e_to, steps)
-            assert str(got.value) == str(exc)
+        if (e_from, e_to) not in oracles:
+            try:
+                oracles[e_from, e_to] = oracle.continue_levels(params, e_from, e_to)
+            except ContinuationError:
+                oracles[e_from, e_to] = None
+        want = oracles[e_from, e_to]
+        if want is None:
             continue
         got = continue_levels(params, e_from, e_to, steps)
-        assert np.array_equal(got.permutation, want[0])
-        assert np.array_equal(got.spectrum.energies, want[1].energies)
+        start = diagonalize_params(params.replace(e_field=e_from)).energies
+        apart = np.diff(start) > 1e-9 * max(1.0, float(np.abs(start).max()))
+        alone = np.r_[True, apart] & np.r_[apart, True]
+        scale = max(1.0, float(np.abs(want.spectrum.energies).max()))
+        assert np.max(np.abs(got.spectrum.energies - want.spectrum.energies)) <= 1e-12 * scale
+        reached = got.spectrum.energies[got.permutation] - want.spectrum.energies[want.permutation]
+        assert np.max(np.abs(reached[alone]), initial=0.0) <= 1e-9 * scale
+        assert cycle_efficiency(params, got) == pytest.approx(
+            cycle_efficiency(params, want), abs=1e-9)
 
 
 def test_identity_fast_path_equals_assignment(monkeypatch):
     # a seeded unitary near the identity, every |U_kk|^2 above 1/2: the
-    # matcher keeps the identity without calling linear_sum_assignment, and
+    # oracle's matcher keeps the identity without calling linear_sum_assignment, and
     # that is the assignment linear_sum_assignment finds
     from scipy.optimize import linear_sum_assignment
 
@@ -322,11 +316,11 @@ def test_identity_fast_path_equals_assignment(monkeypatch):
 
 
 def test_failed_continuation_stops_one_chunk_past_the_failure(monkeypatch):
-    # n=6 from zero field fails inside its first step (near p=1.5e-5): the
-    # continuation solves the first chunk of the grid and the bisection of
+    # n=6 from zero field fails inside the oracle's first step (near
+    # p=1.5e-5): the oracle solves the first chunk of the grid and the bisection of
     # that step, and nothing further
     params = ChainParams(6, 1.0, -1.0, 1.0, 0.0)
-    chunk = spectra.CHUNK_BYTES // (16 * spectra._ring_plan(6)[0].size)
+    chunk = oracle.CHUNK_BYTES // (16 * spectra._ring_plan(6)[0].size)
     assert chunk == 8
     grid = np.linspace(0.0, 10.0, 641)
     calls = []
@@ -338,7 +332,80 @@ def test_failed_continuation_stops_one_chunk_past_the_failure(monkeypatch):
 
     monkeypatch.setattr(spectra, "_solve_fields", counting)
     with pytest.raises(ContinuationError, match="near e_field=1.5"):
-        continue_levels(params, 0.0, 10.0)
+        oracle.continue_levels(params, 0.0, 10.0)
     past = [f for f in calls if f > grid[1]]
     assert 0 < len(past) <= chunk
     assert max(calls) <= grid[1 + chunk]
+
+
+def walk_counts(f):
+    """f() and the (fields solved, bisections, exact crossings) it adds to
+    the level-map counts."""
+    before = copy.copy(spectra.COUNTS)
+    out = f()
+    after = spectra.COUNTS
+    return out, (after.fields - before.fields, after.bisections - before.bisections,
+                 after.crossings - before.crossings)
+
+
+def test_level_map_does_not_depend_on_the_grid():
+    # from 3.5 to 14 at n=8, b=1.9 the oracle maps 14 levels differently on
+    # 21 steps than on its default 672 and raises nothing: its cycles give
+    # eta 0.871712 on 11 steps, 0.866084 on 21 and 0.864082 on 672.  The
+    # labelled map is the same on every grid
+    params = ChainParams(8, 1.0, -1.0, 1.9, 0.0)
+    spec = CycleSpec(params, 30.0, 10.0, 14.0, 3.5, CycleMode.QUANTUM)
+    coarse = oracle.continue_levels(params, 3.5, 14.0, 21)
+    assert run_cycle(spec, level_map=coarse).efficiency == pytest.approx(0.866084, abs=1e-6)
+    maps = [continue_levels(params, 3.5, 14.0, steps) for steps in (11, 21, None)]
+    for m in maps:
+        assert np.array_equal(m.permutation, maps[0].permutation)
+        assert run_cycle(spec, level_map=m).efficiency == pytest.approx(0.864082, abs=1e-6)
+
+
+def test_exact_crossing_in_two_momentum_blocks():
+    # n=6, b=1: in (s^z=0, k=+-2pi/3), three states each, ranks 1 and 2
+    # cross exactly at p=2.0 (gap 3e-15 there).  Rank fails across it, and
+    # the step is bisected until the gap of the swapped pair falls below
+    # 1e-9 at a substep's end, where the levels follow their overlaps: one
+    # exact crossing per block.  p=2.0 is a field of the walk (steps=2), the
+    # first midpoint (1.5 to 2.5) or no dyadic point (1.3 to 2.5).  The
+    # oracle, which follows overlaps inside s^z sectors, reaches the same
+    # levels
+    params = ChainParams(6, 1.0, -1.0, 1.0, 0.0)
+    for (e_from, e_to), steps, bisected in (((1.5, 2.5), 2, 0), ((1.5, 2.5), None, 1),
+                                            ((1.3, 2.5), None, 20)):
+        want = oracle.continue_levels(params, e_from, e_to)
+        start = diagonalize_params(params.replace(e_field=e_from)).energies
+        apart = np.diff(start) > 1e-9 * max(1.0, float(np.abs(start).max()))
+        alone = np.r_[True, apart] & np.r_[apart, True]
+        got, (_, bisections, crossings) = walk_counts(
+            lambda: continue_levels(params, e_from, e_to, steps))
+        assert crossings == 2
+        assert bisections >= bisected
+        reached = got.spectrum.energies[got.permutation] - want.spectrum.energies[want.permutation]
+        assert np.max(np.abs(reached[alone])) <= 1e-9
+
+
+def test_exact_crossing_at_n8():
+    # n=8, b=1: in (s^z=-4, k index 6) two levels cross exactly at p=1.0,
+    # which is not a field of the walk.  The level at E=1.857 at p=0.5 must
+    # rise to 6.722 at p=2.01; its rank in the block would send it to -0.026
+    params = ChainParams(8, 1.0, -1.0, 1.0, 0.0)
+    (start, end), (_, _, crossings) = walk_counts(
+        lambda: list(spectra._level_maps(params, [0.5, 2.01])))
+    level, = np.flatnonzero(np.abs(start.spectrum.energies - 1.857) < 1e-3)
+    assert start.spectrum.sz_sector[level] == -4
+    assert end.spectrum.energies[end.permutation[level]] == pytest.approx(6.722, abs=1e-3)
+    assert crossings >= 1
+
+
+def test_level_map_counts_are_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="ottochain")
+    params = ChainParams(4, 1.0, -1.0, 1.0, 0.0)
+    _, (fields, bisections, crossings) = walk_counts(
+        lambda: continue_levels(params, 3.5, 9.0))
+    message, = [r.getMessage() for r in caplog.records if r.name == "ottochain"]
+    assert message.startswith(
+        f"level map from e_field=3.5 over 2 fields: {fields} fields solved, "
+        f"{bisections} bisections, {crossings} exact crossings, worst in-block overlap ")
