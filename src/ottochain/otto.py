@@ -24,7 +24,7 @@ import numpy as np
 
 from .correlations import density_matrix, one_tangle, two_tangle
 from .model import ChainParams
-from .spectra import LevelMap, Spectrum, _level_maps, continue_levels, diagonalize_params
+from .spectra import LevelMap, Spectrum, _level_maps, diagonalize_params
 from .thermal import gibbs
 
 
@@ -100,18 +100,19 @@ def _cycle(hi: Spectrum, lo: Spectrum, t_hot: float, t_cold: float,
 def run_cycle(spec: CycleSpec, level_map: LevelMap | None = None) -> CycleResult:
     """Evaluate one cycle.  A precomputed LevelMap from p_low to p_high may
     be passed to quantum-mode calls that share it; the spectrum at p_high
-    that the map carries, or that the cycle's own level map reaches, serves
-    the cycle."""
-    lo = diagonalize_params(spec.params.replace(e_field=spec.p_low))
+    that the map carries serves the cycle.  Without one, a quantum cycle
+    walks its own level map, whose spectra at both fields serve it."""
+    params = spec.params
     if spec.mode is CycleMode.QUANTUM and level_map is None:
-        level_map = continue_levels(spec.params, spec.p_low, spec.p_high)
-    if spec.p_high == spec.p_low:
-        hi = lo     # the same levels at both fields: an idle cycle does no work
-    elif (level_map is not None and level_map.e_to == spec.p_high
+        start, level_map = _level_maps(params, [spec.p_low, spec.p_high])
+        lo = start.spectrum
+    else:
+        lo = diagonalize_params(params.replace(e_field=spec.p_low))
+    if (level_map is not None and level_map.e_to == spec.p_high
             and level_map.spectrum is not None):
         hi = level_map.spectrum
     else:
-        hi = diagonalize_params(spec.params.replace(e_field=spec.p_high))
+        hi = diagonalize_params(params.replace(e_field=spec.p_high))
     perm = level_map.permutation if spec.mode is CycleMode.QUANTUM else None
     return _cycle(hi, lo, spec.t_hot, spec.t_cold, perm)
 
@@ -135,24 +136,22 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
     is not read; every row carries the quantum and the thermodynamic cycle.
 
     One level map walks from p_low through the grid in ascending order:
-    p_low and each node are solved once, in one stack, and each node's
-    spectrum from that walk serves both cycles and the tangles of its row.
-    The spectrum at p_low is the one `run_cycle` takes, so that every row
-    is the cycle `run_cycle` gives with the same map.
+    p_low and each node are solved once, and the walk's spectrum at each
+    node serves both cycles and the tangles of its row.  These spectra are
+    those of `diagonalize_params`, so every row is the cycle `run_cycle`
+    gives with the same map.
     """
     p_grid = [float(p) for p in p_grid]
     if not p_grid or any(p <= 0 for p in p_grid):
         raise ValueError("field grid must be nonempty and positive")
 
-    lo = diagonalize_params(spec.params.replace(e_field=spec.p_low))
     order = np.argsort(p_grid)
     maps = _level_maps(spec.params, [spec.p_low] + [p_grid[k] for k in order])
-    next(maps)
+    lo = next(maps).spectrum
     rows: list = [None] * len(p_grid)
     # maps first, so that the walk runs to its end and logs its counts
     for level_map, k in zip(maps, order):
-        p = p_grid[k]
-        hi = lo if p == spec.p_low else level_map.spectrum
+        p, hi = p_grid[k], level_map.spectrum
         thermo = _cycle(hi, lo, spec.t_hot, spec.t_cold)
         quantum = _cycle(hi, lo, spec.t_hot, spec.t_cold, level_map.permutation)
         hot_state = density_matrix(gibbs(hi, spec.t_hot))

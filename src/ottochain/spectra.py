@@ -18,7 +18,8 @@ a step between two of them is bisected while some in-block overlap
 symmetry the labels miss: the largest overlaps permute the block's levels,
 and every pair they swap is degenerate at one end of the step (gap below
 1e-9 max(1, |E|)).  There the levels follow their overlaps.  The spectra
-come back in s^z-block form.
+come from the same fields solved in s^z blocks, where the levels of each
+sector are those of its (s^z, k) blocks paired by rank.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ DEGENERATE = 1e-9
 # enough for the gap of an exact crossing inside a step of 10 to fall below
 # DEGENERATE at a substep's end
 MAX_REFINEMENT = 2 ** 40
+# a level map solves its fields in stacks whose s^z blocks fill at most this
+# many bytes (70 fields at n=6, 5 at n=8, one from n=10), so that its memory
+# does not grow with the number of fields
+STACK_BYTES = 2 ** 20
 
 log = logging.getLogger("ottochain")
 
@@ -95,10 +100,12 @@ class LevelMap:
     """Adiabatic identification of levels between two field values.
 
     permutation[i] is the level index at e_to of the level with index i at
-    e_from (indices into the ascending-energy ordering at each field).  The
-    level keeps its (s^z, k) block and its rank inside it, except across an
-    exact crossing.  `spectrum`, when known, is the spectrum at e_to, from
-    the map's own solve in s^z-block form.
+    e_from.  Both index the levels of `diagonalize_params` at their field,
+    in ascending order of the energy; levels exactly degenerate inside one
+    s^z sector are interchangeable.  The level keeps its (s^z, k) block and
+    its rank inside it, except across an exact crossing.  `spectrum`, when
+    known, is the spectrum at e_to, solved as `diagonalize_params` solves
+    it, which gives it bit for bit.
     """
 
     permutation: np.ndarray
@@ -232,8 +239,6 @@ def _solve_fields(params: ChainParams, fields) -> list[tuple[np.ndarray, np.ndar
     return _eigh_stacks(layout, buf)
 
 
-
-
 def _spectrum(layout: _Layout, solved, i: int) -> Spectrum:
     """The Spectrum of field i of `solved`, the output of `_eigh_stacks`."""
     values = [None] * len(layout.sectors)
@@ -267,8 +272,9 @@ def diagonalize_params(params: ChainParams) -> Spectrum:
 def _momentum_plan(n: int) -> tuple[_Layout, np.ndarray, list]:
     """The (s^z, k) blocks of the n-site ring: their layout, keyed by block
     number; bond1, bond2, total s^z and K of `_pattern(n)` in that layout's
-    buffer, one row each; and per block its s^z sector and the matrix of
-    its momentum states on the sector basis.  The translation T moves every
+    buffer, one row each; and per s^z sector of `_ring_plan(n)`, the stack
+    positions of its levels (the order in which `_eigh_stacks` lists the
+    eigenvalues of the layout's groups).  The translation T moves every
     spin one site on.  An orbit of length R with smallest state r carries
     |r, k> = R^-1/2 sum_j e^{-ikj} T^j |r> for each k = 2 pi m / n with
     m R = 0 mod n, whose amplitude on x is e^{ik j_x} / sqrt(R), with
@@ -287,36 +293,26 @@ def _momentum_plan(n: int) -> tuple[_Layout, np.ndarray, list]:
             u = (rep[basis][:, None] == reps) * (np.exp(2j * np.pi * m * shift[basis] / n)
                                                   / np.sqrt(period[basis]))[:, None]
             if reps.size:
-                blocks.append((s, u, [u.conj().T @ op[s] @ u for op in ops]))
-    layout = _layout({b: np.arange(u.shape[1]) for b, (_, u, _) in enumerate(blocks)})
-    buf = np.concatenate([np.stack([blocks[b][2] for b in members], axis=1).reshape(4, -1)
+                blocks.append((s, [u.conj().T @ op[s] @ u for op in ops]))
+    layout = _layout({b: np.arange(len(block[0])) for b, (_, block) in enumerate(blocks)})
+    buf = np.concatenate([np.stack([blocks[b][1] for b in members], axis=1).reshape(4, -1)
                           for _, members, _ in layout.groups], axis=1)
-    return layout, buf, [(s, u) for s, u, _ in blocks]
+    sector = np.concatenate([np.repeat([blocks[b][0] for b in members], d)
+                             for d, members, _ in layout.groups])
+    return layout, buf, [np.flatnonzero(sector == s) for s in range(len(sectors))]
 
 
-def _momentum_spectrum(plan, solved, i: int) -> tuple[Spectrum, np.ndarray]:
-    """The Spectrum of field i of `solved` (the blocks of `plan`, as
-    `_eigh_stacks` returns them) in s^z-block form, and its level index for
-    every stack position: a level's place in that return."""
-    layout, _, blocks = plan
-    sectors = _ring_plan(layout.labels.size.bit_length() - 1)[0]
-    parts = [[] for _ in sectors.sectors]
-    pos = 0
-    for (d, members, _), (ev, vec) in zip(layout.groups, solved):
-        for b, e, w in zip(members, ev[i], vec[i]):
-            s, u = blocks[b]
-            parts[s].append((e, u @ w, np.arange(pos, pos + d)))
-            pos += d
-    values, vectors, where = [], [], []
-    for e, v, p in ((np.concatenate(x, axis=-1) for x in zip(*part)) for part in parts):
-        order = np.argsort(e, kind="stable")
-        values.append(e[order])
-        vectors.append(v[:, order])
-        where.append(p[order])
-    spec = _assemble(sectors, values, vectors)
-    index = np.empty(pos, dtype=int)
-    index[np.concatenate(where)] = np.concatenate([s.levels for s in spec.sectors])
-    return spec, index
+def _level_index(plan, solved, i: int, spec: Spectrum) -> np.ndarray:
+    """For every stack position of field i of `solved` (the blocks of
+    `plan`, as `_eigh_stacks` returns them), the index of its level in
+    `spec`, the s^z-block spectrum at the same field: inside each s^z
+    sector the two solves list the same energies, up to rounding, and
+    their levels are paired by rank."""
+    energies = np.concatenate([ev[i].ravel() for ev, _ in solved])
+    index = np.empty(energies.size, dtype=int)
+    for pos, sector in zip(plan[2], spec.sectors):
+        index[pos[np.argsort(energies[pos], kind="stable")]] = sector.levels
+    return index
 
 
 class LevelMapCounts:
@@ -374,7 +370,7 @@ class _Walk:
         self.counts.fields += fields.size
         return _eigh_stacks(layout, buf)
 
-    def step(self, a: float, b: float, sa, sb, factor: int = 1) -> np.ndarray | None:
+    def step(self, a: float, sa, b: float, sb, factor: int = 1) -> np.ndarray | None:
         """The step from field a to field b, solved as `sa` and `sb`,
         bisected until each of its parts can be taken."""
         taken, moves = self.take(sa, sb)
@@ -386,7 +382,7 @@ class _Walk:
         self.counts.bisections += 1
         mid = 0.5 * (a + b)
         sm = self.solve([mid])
-        left, right = self.step(a, mid, sa, sm, 2 * factor), self.step(mid, b, sm, sb, 2 * factor)
+        left, right = self.step(a, sa, mid, sm, 2 * factor), self.step(mid, sm, b, sb, 2 * factor)
         return left if right is None else right if left is None else right[left]
 
     def take(self, sa, sb) -> tuple[bool, np.ndarray | None]:
@@ -424,31 +420,41 @@ class _Walk:
 
 def _level_maps(params: ChainParams, fields):
     """The level maps from fields[0] to each of `fields`, in order, each
-    with the spectrum at its field.  The distinct fields are solved in one
-    stack and walked in the given order; a field equal to the one before it
-    is not solved again.  When the last map is out, the walk's counts are
-    added to COUNTS and logged at DEBUG level."""
+    with the spectrum at its field.  The distinct fields are walked in the
+    given order and solved a stack of at most STACK_BYTES at a time, in
+    (s^z, k) blocks for the walk and in s^z blocks for the spectra; a field
+    equal to the one before it is not solved again.  When the last map is
+    out, the walk's counts are added to COUNTS and logged at DEBUG level."""
     fields = np.asarray(fields, dtype=float)
-    new = np.r_[True, np.diff(fields) != 0]
+    new = np.flatnonzero(np.r_[True, np.diff(fields) != 0])
+    repeats, distinct = np.diff(np.r_[new, fields.size]), fields[new]
+    layout = _ring_plan(params.n)[0]
+    per_stack = max(1, STACK_BYTES // (16 * layout.size))
     walk = _Walk(params)
-    solved = walk.solve(fields[new])
-    at = [[(ev[i:i + 1], vec[i:i + 1]) for ev, vec in solved] for i in range(new.sum())]
-    worst = np.min([kept.min(axis=(1, 2)) for kept in _kept(
-        [(ev[:-1], vec[:-1]) for ev, vec in solved], [(ev[1:], vec[1:]) for ev, vec in solved])],
-        axis=0, initial=1.0)
-    ok = worst ** 2 > 0.5
-    walk.counts.worst_overlap = float(worst[ok].min(initial=1.0))
-    track = np.arange(walk.plan[0].labels.size)
-    for k, i in enumerate(np.cumsum(new) - 1):
-        if new[k]:
-            move = None if i == 0 or ok[i - 1] else walk.step(
-                fields[k - 1], fields[k], at[i - 1], at[i])
-            track = track if move is None else move[track]
-            spec, index = _momentum_spectrum(walk.plan, solved, i)
-            origin = index if i == 0 else origin
-            perm = np.empty(track.size, dtype=int)
+    last = None         # the field before a stack and its momentum blocks
+    for first in range(0, distinct.size, per_stack):
+        chunk = distinct[first:first + per_stack]
+        solved, blocks = walk.solve(chunk), _solve_fields(params, chunk)
+        kept = _kept([(ev[:-1], vec[:-1]) for ev, vec in solved],
+                     [(ev[1:], vec[1:]) for ev, vec in solved])
+        worst = np.min([k.min(axis=(1, 2)) for k in kept], axis=0, initial=1.0)
+        for i, e in enumerate(chunk):
+            at = [(ev[i:i + 1], vec[i:i + 1]) for ev, vec in solved]
+            if i > 0 and worst[i - 1] ** 2 > 0.5:
+                walk.counts.worst_overlap = min(walk.counts.worst_overlap, float(worst[i - 1]))
+            elif last is not None:
+                move = walk.step(*last, e, at)
+                track = track if move is None else move[track]
+            spec = _spectrum(layout, blocks, i)
+            index = _level_index(walk.plan, solved, i, spec)
+            if last is None:
+                origin, track = index, np.arange(index.size)
+            perm = np.empty(index.size, dtype=int)
             perm[origin] = index[track]
-        yield LevelMap(perm, float(fields[0]), float(fields[k]), spec)
+            for _ in range(repeats[first + i]):
+                yield LevelMap(perm, float(fields[0]), float(e), spec)
+            last = e, at
+        last = e, [(ev.copy(), vec.copy()) for ev, vec in at]
     c = walk.counts
     COUNTS.add(c)
     log.debug("level map from e_field=%g over %d fields: %d fields solved, %d bisections, "

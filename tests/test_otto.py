@@ -141,16 +141,16 @@ def count_solves(monkeypatch):
 
 
 def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
-    # the README's e-field sweep: p_low in s^z blocks for the cycles, then
-    # p_low, which is also the first node, and the 21 other nodes, solved
-    # once in one stack by the level map, whose node spectra serve both
-    # cycles and the tangles; no step is bisected.  The overlap-following
-    # continuation solved 673 fields, 803 before the reuse
+    # the README's e-field sweep: p_low, which is also the first node, and
+    # the 21 other nodes, each solved once by the level map, in one stack of
+    # (s^z, k) blocks for the walk and one of s^z blocks for the spectra,
+    # which serve both cycles and the tangles; no step is bisected.  The
+    # overlap-following continuation solved 673 fields, 803 before the reuse
     params = ChainParams(6, 1.0, -1.0, 1.0, 0.0)
     grid = np.linspace(3.5, 14.0, 22)
     calls = count_solves(monkeypatch)
     rows = efficiency_sweep(CycleSpec(params, 30.0, 10.0, 14.0, 3.5), grid)
-    assert calls == [3.5] + grid.tolist()
+    assert calls == 2 * grid.tolist()
     monkeypatch.undo()
 
     level_map, anchor = None, 3.5
@@ -173,33 +173,24 @@ def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
 
 
 def test_quantum_cycle_reuses_the_continuation_spectrum(monkeypatch):
-    # p_low in s^z blocks for the cycle, then p_low and p_high in one stack
-    # of the level map, whose spectrum at p_high serves the cycle
+    # p_low and p_high, solved by the level map in (s^z, k) blocks and in
+    # s^z blocks, whose spectra at both fields serve the cycle
     calls = count_solves(monkeypatch)
     cycle(4.5, mode=CycleMode.QUANTUM)
-    assert calls == [3.5, 3.5, 4.5]
+    assert calls == [3.5, 4.5, 3.5, 4.5]
 
 
 @pytest.mark.parametrize("mode", [CycleMode.THERMO, CycleMode.QUANTUM])
 def test_mapped_cycle_reuses_the_map_spectrum(monkeypatch, mode):
     # a map that reaches p_high carries its spectrum there: only p_low is
-    # solved, and the cycle is the one computed without the map.  A thermo
-    # cycle without a map solves p_high in s^z blocks, the map solved it in
-    # (s^z, k) blocks: those agree to rounding
+    # solved, and the cycle is the one computed without the map
     level_map = continue_levels(RING, 3.5, 9.0)
     spec = CycleSpec(RING, 30.0, 10.0, 9.0, 3.5, mode)
     calls = count_solves(monkeypatch)
     with_map = run_cycle(spec, level_map=level_map)
     assert calls == [3.5]
     monkeypatch.undo()
-    without = run_cycle(spec)
-    if mode is CycleMode.QUANTUM:
-        assert with_map == without
-    else:
-        assert (with_map.carnot, with_map.is_engine) == (without.carnot, without.is_engine)
-        for got, want in ((with_map.q_in, without.q_in), (with_map.q_out, without.q_out),
-                          (with_map.efficiency, without.efficiency)):
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert with_map == run_cycle(spec)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

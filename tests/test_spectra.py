@@ -173,13 +173,10 @@ def test_continuation_ground_to_ground():
 
 
 def test_continuation_preserves_sectors():
-    # the sectors at both ends are read from the walk's own spectra: levels
-    # degenerate across sectors (five at E=-4 at e_field=0.5) may come out
-    # of another solve in another order
     params = ChainParams(4, 1.0, -1.0, 1.0, 0.0)
-    start, m = spectra._level_maps(params, [0.5, 8.0])
-    s_from = start.spectrum.sz_sector
-    s_to = m.spectrum.sz_sector
+    m = continue_levels(params, 0.5, 8.0)
+    s_from = diagonalize_params(params.replace(e_field=0.5)).sz_sector
+    s_to = diagonalize_params(params.replace(e_field=8.0)).sz_sector
     assert np.array_equal(s_from, s_to[m.permutation])
 
 
@@ -361,6 +358,24 @@ def test_level_map_does_not_depend_on_the_grid():
     for m in maps:
         assert np.array_equal(m.permutation, maps[0].permutation)
         assert run_cycle(spec, level_map=m).efficiency == pytest.approx(0.864082, abs=1e-6)
+
+
+def test_level_map_memory_does_not_grow_with_the_grid():
+    # a level map solves one stack of at most STACK_BYTES of s^z blocks at a
+    # time (five fields at n=8) and keeps only the last field's solve across
+    # stacks: ten times the fields trace the same peak
+    import tracemalloc
+
+    params = ChainParams(8, 1.0, -1.0, 1.0, 0.0)
+    assert spectra.STACK_BYTES // (16 * _ring_plan(8)[0].size) == 5
+    continue_levels(params, 3.5, 5.5, 2)
+    peaks = []
+    for steps in (20, 200):
+        tracemalloc.start()
+        continue_levels(params, 3.5, 14.0, steps)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def test_exact_crossing_in_two_momentum_blocks():
