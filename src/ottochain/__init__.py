@@ -12,8 +12,7 @@ from .model import (ChainParams, ParameterError, build_chirality_operator,
                     build_hamiltonian, build_total_sz)
 from .otto import (CycleMode, CycleResult, CycleSpec, SweepRow,
                    efficiency_sweep, run_cycle, size_scaling)
-from .response import (FieldTag, fidelity_quadratic_approx, susceptibility,
-                       thermal_state_fidelity, uhlmann_fidelity)
+from .response import FieldTag, susceptibility, thermal_state_fidelity
 from .semiclassical import (ScConfig, efficiency_sc, entropy_sc,
                             free_energy_sc, heat_integral_sc,
                             perturbation_valid)
@@ -33,10 +32,10 @@ __all__ = [
     "chi_b4", "chi_e4", "chirality4", "chirality_expectation", "coeffs4",
     "concurrence", "concurrences4", "continue_levels", "density_matrix",
     "diagonalize_params", "efficiency_sc", "efficiency_sweep",
-    "entropy", "entropy_sc", "fidelity_quadratic_approx", "free_energy",
+    "entropy", "entropy_sc", "free_energy",
     "free_energy_sc", "gibbs", "heat_integral_sc", "internal_energy",
     "one_tangle", "one_tangle4", "partial_trace", "perturbation_valid",
     "run_cycle", "size_scaling", "spectrum4", "susceptibility",
     "thermal_state_fidelity", "threshold_temperature", "two_tangle",
-    "two_tangle4", "uhlmann_fidelity",
+    "two_tangle4",
 ]

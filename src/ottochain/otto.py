@@ -50,8 +50,9 @@ class CycleSpec:
         if not self.t_hot > self.t_cold > 0:
             raise ValueError(
                 f"need t_hot > t_cold > 0, got ({self.t_hot}, {self.t_cold})")
-        if self.p_high < 0 or self.p_low < 0:
-            raise ValueError("field amplitudes must be >= 0")
+        if not all(np.isfinite(p) and p >= 0 for p in (self.p_high, self.p_low)):
+            raise ValueError("field amplitudes must be finite and >= 0, got "
+                             f"({self.p_high}, {self.p_low})")
 
 
 @dataclass(frozen=True)
@@ -99,20 +100,20 @@ def _cycle(hi: Spectrum, lo: Spectrum, t_hot: float, t_cold: float,
 
 def run_cycle(spec: CycleSpec, level_map: LevelMap | None = None) -> CycleResult:
     """Evaluate one cycle.  A precomputed LevelMap from p_low to p_high may
-    be passed to quantum-mode calls that share it; the spectrum at p_high
-    that the map carries serves the cycle.  Without one, a quantum cycle
-    walks its own level map, whose spectra at both fields serve it."""
+    be passed to calls that share it; the spectrum at p_high that the map
+    carries serves the cycle.  Without one, a quantum cycle walks its own
+    level map, whose spectra at both fields serve it."""
     params = spec.params
+    if level_map is not None and (level_map.e_from, level_map.e_to) != (spec.p_low, spec.p_high):
+        raise ValueError(f"level map from {level_map.e_from} to {level_map.e_to} does not "
+                         f"join the cycle's fields {spec.p_low} and {spec.p_high}")
     if spec.mode is CycleMode.QUANTUM and level_map is None:
         start, level_map = _level_maps(params, [spec.p_low, spec.p_high])
         lo = start.spectrum
     else:
         lo = diagonalize_params(params.replace(e_field=spec.p_low))
-    if (level_map is not None and level_map.e_to == spec.p_high
-            and level_map.spectrum is not None):
-        hi = level_map.spectrum
-    else:
-        hi = diagonalize_params(params.replace(e_field=spec.p_high))
+    hi = (diagonalize_params(params.replace(e_field=spec.p_high)) if level_map is None
+          else level_map.spectrum)
     perm = level_map.permutation if spec.mode is CycleMode.QUANTUM else None
     return _cycle(hi, lo, spec.t_hot, spec.t_cold, perm)
 
@@ -142,8 +143,8 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
     gives with the same map.
     """
     p_grid = [float(p) for p in p_grid]
-    if not p_grid or any(p <= 0 for p in p_grid):
-        raise ValueError("field grid must be nonempty and positive")
+    if not p_grid or not all(np.isfinite(p) and p > 0 for p in p_grid):
+        raise ValueError("field grid must be nonempty, finite and positive")
 
     order = np.argsort(p_grid)
     maps = _level_maps(spec.params, [spec.p_low] + [p_grid[k] for k in order])

@@ -1,5 +1,6 @@
-"""Mixed-state (Uhlmann) fidelity and field susceptibilities, the
-thermal-transition detectors.
+"""The Uhlmann fidelity of neighbouring thermal states (Uhlmann, Rep. Math.
+Phys. 9, 273 (1976)) and field susceptibilities, the thermal-transition
+detectors.
 
 Susceptibilities are Kubo sums over the states of one spectrum (Kubo,
 J. Phys. Soc. Jpn. 12, 570 (1957)), the exact -d^2F/dzeta^2 of the Gibbs
@@ -12,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlations import DensityMatrix, _sqrt_psd
 from .model import ChainParams, _pattern
 from .spectra import Spectrum, _ring_blocks, diagonalize_params
 from .thermal import gibbs
@@ -32,13 +32,6 @@ def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
     the round-off floor; square roots of eigenvalues of the product would
     not."""
     return float(np.sum(np.linalg.svd(a.conj().T @ b, compute_uv=False)))
-
-
-def uhlmann_fidelity(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
-    """F = tr sqrt(sqrt(rho0) rho1 sqrt(rho0)), in [0, 1]."""
-    if rho0.dim != rho1.dim:
-        raise ValueError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
-    return _fidelity(_sqrt_psd(rho0.entries), _sqrt_psd(rho1.entries))
 
 
 def _field_blocks(field: FieldTag, n: int) -> list[np.ndarray]:
@@ -90,13 +83,6 @@ def susceptibility(params: ChainParams, field: FieldTag, t: float) -> float:
     """chi(zeta) = -d^2 F / d zeta^2 at fixed temperature, as the Kubo sum
     over the levels of one spectrum."""
     return _kubo(diagonalize_params(params), _field_blocks(field, params.n), t)
-
-
-def fidelity_quadratic_approx(beta: float, dzeta: float, chi: float) -> float:
-    """Leading-order fidelity drop, F ~ exp(-beta dzeta^2 chi / 8)."""
-    if not beta > 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    return float(np.exp(-beta * dzeta ** 2 * chi / 8.0))
 
 
 def thermal_state_fidelity(params: ChainParams, field: FieldTag, t: float,

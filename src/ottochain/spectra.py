@@ -82,15 +82,6 @@ class Spectrum:
     def dim(self) -> int:
         return self.energies.size
 
-    @property
-    def states(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix of eigenvector columns, assembled from
-        the sector blocks."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for s in self.sectors:
-            out[np.ix_(s.basis, s.levels)] = s.vectors
-        return out
-
     def ground_energy(self) -> float:
         return float(self.energies[0])
 
@@ -103,15 +94,15 @@ class LevelMap:
     e_from.  Both index the levels of `diagonalize_params` at their field,
     in ascending order of the energy; levels exactly degenerate inside one
     s^z sector are interchangeable.  The level keeps its (s^z, k) block and
-    its rank inside it, except across an exact crossing.  `spectrum`, when
-    known, is the spectrum at e_to, solved as `diagonalize_params` solves
-    it, which gives it bit for bit.
+    its rank inside it, except across an exact crossing.  `spectrum` is the
+    spectrum at e_to, solved as `diagonalize_params` solves it, which gives
+    it bit for bit.
     """
 
     permutation: np.ndarray
     e_from: float
     e_to: float
-    spectrum: Spectrum | None = field(default=None, repr=False, compare=False)
+    spectrum: Spectrum = field(repr=False, compare=False)
 
     def compose(self, later: "LevelMap") -> "LevelMap":
         """Map equivalent to following self and then `later`."""
@@ -462,14 +453,9 @@ def _level_maps(params: ChainParams, fields):
               c.fields, c.bisections, c.crossings, c.worst_overlap)
 
 
-def continue_levels(params: ChainParams, e_from: float, e_to: float,
-                    steps: int | None = None) -> LevelMap:
+def continue_levels(params: ChainParams, e_from: float, e_to: float) -> LevelMap:
     """The level map from e_field=e_from to e_field=e_to, which carries the
-    spectrum at e_to.  The walk starts from the two fields, or from the
-    steps + 1 fields of an even grid between them; see the module docstring."""
-    if steps is not None and steps < 1:
-        raise ValueError("steps must be >= 1")
-    for level_map in _level_maps(params, [e_from, e_to] if steps is None
-                                 else np.linspace(e_from, e_to, steps + 1)):
-        pass
-    return level_map
+    spectrum at e_to; see the module docstring."""
+    if not (np.isfinite(e_from) and np.isfinite(e_to)):
+        raise ValueError(f"fields must be finite, got {e_from} and {e_to}")
+    return list(_level_maps(params, [e_from, e_to]))[-1]

@@ -56,22 +56,13 @@ def internal_energy(g: GibbsState) -> float:
     return float(g.spectrum.energies @ g.populations)
 
 
-def free_energy(spec: Spectrum, t: float, e_ref: float | None = None) -> float:
-    """F = -T ln Z, with the overflow-safe shift.
-
-    Any finite e_ref gives the same value in exact arithmetic; passing one
-    shared reference across a finite-difference stencil keeps the large
-    constant part of F coherent between evaluations.
-    """
-    _check_t(t)
-    if e_ref is None:
-        e_ref = spec.ground_energy()
-    z = np.sum(np.exp(-(spec.energies - e_ref) / t))
-    return float(e_ref - t * np.log(z))
+def free_energy(spec: Spectrum, t: float) -> float:
+    """F = -T ln Z, with the overflow-safe shift."""
+    return -t * gibbs(spec, t).log_z
 
 
 def entropy(spec: Spectrum, t: float) -> float:
-    """S = (U - F)/T, algebraically identical to -dF/dT for a Gibbs state."""
-    _check_t(t)
+    """S = (U - F)/T = U/T + ln Z, algebraically identical to -dF/dT for a
+    Gibbs state."""
     g = gibbs(spec, t)
-    return (internal_energy(g) - free_energy(spec, t)) / t
+    return internal_energy(g) / t + g.log_z

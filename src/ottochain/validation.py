@@ -4,13 +4,10 @@ invariants of the operators and thermodynamics.
 
 Each check reports its worst deviation and tolerance; `run_all` drives the
 whole suite and is what the command-line `validate` subcommand executes.
-The optional `perturb` argument injects an artificial energy offset into
-the numeric spectra so the suite's sensitivity can be demonstrated.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +17,8 @@ from .correlations import (concurrence, chirality_expectation, density_matrix,
                            one_tangle, partial_trace, two_tangle)
 from .model import (ChainParams, build_chirality_operator, build_hamiltonian,
                     build_total_sz)
-from .response import (FieldTag, fidelity_quadratic_approx, susceptibility,
-                       thermal_state_fidelity, uhlmann_fidelity)
-from .spectra import Spectrum, diagonalize_params
+from .response import FieldTag, susceptibility, thermal_state_fidelity
+from .spectra import diagonalize_params
 from .thermal import entropy, free_energy, gibbs, internal_energy
 
 GRID_J = (0.5, 1.0, 2.0)
@@ -42,13 +38,6 @@ class CheckResult:
         return bool(self.max_deviation <= self.tolerance)
 
 
-def _perturbed(spec: Spectrum, perturb: float) -> Spectrum:
-    if perturb == 0.0:
-        return spec
-    return dataclasses.replace(
-        spec, energies=spec.energies + perturb * np.arange(spec.dim))
-
-
 def _grid_points():
     for j in GRID_J:
         for b in GRID_B:
@@ -57,36 +46,36 @@ def _grid_points():
                     yield j, b, d, t
 
 
-def check_spectrum_oracle(perturb: float = 0.0) -> CheckResult:
+def check_spectrum_oracle() -> CheckResult:
     """Numeric eigenvalues against the sixteen closed forms, relative."""
     worst = 0.0
     for j, b, d, t in _grid_points():
         if t != GRID_T[0]:
             continue
         params = ChainParams(4, j, -j, b, d)
-        spec = _perturbed(diagonalize_params(params), perturb)
+        spec = diagonalize_params(params)
         ana = np.sort(analytic4.spectrum4(j, b, d))
         scale = max(1.0, float(np.max(np.abs(ana))))
         worst = max(worst, float(np.max(np.abs(spec.energies - ana))) / scale)
     return CheckResult("spectrum vs closed form", worst, 1e-8)
 
 
-def check_partition_oracle(perturb: float = 0.0) -> CheckResult:
+def check_partition_oracle() -> CheckResult:
     worst = 0.0
     for j, b, d, t in _grid_points():
         params = ChainParams(4, j, -j, b, d)
-        g = gibbs(_perturbed(diagonalize_params(params), perturb), t)
+        g = gibbs(diagonalize_params(params), t)
         der = analytic4.coeffs4(j, b, d, t)
         worst = max(worst, abs(g.z_shifted - der.z) / der.z)
     return CheckResult("partition sum vs closed form", worst, 1e-8)
 
 
-def check_reduced_coefficients(perturb: float = 0.0) -> CheckResult:
+def check_reduced_coefficients() -> CheckResult:
     """Two-site reduced matrices against the coefficient functions."""
     worst = 0.0
     for j, b, d, t in _grid_points():
         params = ChainParams(4, j, -j, b, d)
-        rho = density_matrix(gibbs(_perturbed(diagonalize_params(params), perturb), t))
+        rho = density_matrix(gibbs(diagonalize_params(params), t))
         der = analytic4.coeffs4(j, b, d, t)
         z = der.z
         r1 = partial_trace(rho, [0, 1]).entries
@@ -102,13 +91,13 @@ def check_reduced_coefficients(perturb: float = 0.0) -> CheckResult:
     return CheckResult("reduced-matrix coefficients", worst, 1e-8)
 
 
-def check_entanglement_oracle(perturb: float = 0.0) -> CheckResult:
+def check_entanglement_oracle() -> CheckResult:
     """Concurrences, tangles and chirality against the closed forms; the
     chirality both with the dense K and from the operator pattern."""
     worst = 0.0
     for j, b, d, t in _grid_points():
         params = ChainParams(4, j, -j, b, d)
-        spec = _perturbed(diagonalize_params(params), perturb)
+        spec = diagonalize_params(params)
         rho = density_matrix(gibbs(spec, t))
         der = analytic4.coeffs4(j, b, d, t)
         c12a, c13a = analytic4.concurrences4(der)
@@ -126,7 +115,7 @@ def check_entanglement_oracle(perturb: float = 0.0) -> CheckResult:
     return CheckResult("tangles and chirality", worst, 1e-8)
 
 
-def check_susceptibility_oracle(perturb: float = 0.0) -> CheckResult:
+def check_susceptibility_oracle() -> CheckResult:
     """Kubo susceptibilities against the closed forms.
 
     Relative, with an absolute floor of 1e-3 on the reference, so that
@@ -138,15 +127,16 @@ def check_susceptibility_oracle(perturb: float = 0.0) -> CheckResult:
         for tag, closed in ((FieldTag.MAGNETIC, analytic4.chi_b4),
                             (FieldTag.ELECTRIC, analytic4.chi_e4)):
             num = susceptibility(params, tag, t)
-            ana = closed(j, b, d, t) + perturb
+            ana = closed(j, b, d, t)
             worst = max(worst, abs(num - ana) / max(1e-3, abs(ana)))
     return CheckResult("susceptibilities vs closed form", worst, 1e-8)
 
 
-def check_operator_invariants(perturb: float = 0.0) -> CheckResult:
+def check_operator_invariants() -> CheckResult:
     """Hermiticity, linearity in the electric field, conservation laws,
     translation invariance, and the production spectrum against the dense
-    H: reconstruction and the energies against a dense eigvalsh."""
+    H: each s^z block of H as V_s diag(E_s) V_s^dagger of its sector, and
+    the energies against a dense eigvalsh."""
     rng = np.random.default_rng(7)
     worst = 0.0
     for n in (2, 3, 4, 5, 6):
@@ -164,10 +154,10 @@ def check_operator_invariants(perturb: float = 0.0) -> CheckResult:
         shift = _one_site_shift(n)
         worst = max(worst, float(np.max(np.abs(h @ shift - shift @ h))))
         spec = diagonalize_params(params)
-        states = spec.states
-        recon = (states * spec.energies) @ states.conj().T
-        worst = max(worst, float(np.max(np.abs(h - recon)))
-                    / max(1.0, float(np.max(np.abs(h)))))
+        scale = max(1.0, float(np.max(np.abs(h))))
+        for s in spec.sectors:
+            recon = (s.vectors * spec.energies[s.levels]) @ s.vectors.conj().T
+            worst = max(worst, float(np.max(np.abs(h[np.ix_(s.basis, s.basis)] - recon))) / scale)
         worst = max(worst, float(np.max(np.abs(spec.energies
                                                - np.linalg.eigvalsh(h)))))
     return CheckResult("operator and spectral invariants", worst, 1e-9)
@@ -183,10 +173,10 @@ def _one_site_shift(n: int) -> np.ndarray:
     return perm
 
 
-def check_thermal_invariants(perturb: float = 0.0) -> CheckResult:
+def check_thermal_invariants() -> CheckResult:
     """Gibbs-state sanity, F = U - TS, entropy monotonicity."""
     params = ChainParams(4, 1.0, -1.0, 1.0, 1.0)
-    spec = _perturbed(diagonalize_params(params), perturb)
+    spec = diagonalize_params(params)
     worst = 0.0
     prev_s = -np.inf
     for t in np.geomspace(0.1, 100.0, 25):
@@ -204,10 +194,10 @@ def check_thermal_invariants(perturb: float = 0.0) -> CheckResult:
     return CheckResult("thermal-state invariants", worst, 1e-9)
 
 
-def check_entropy_derivative(perturb: float = 0.0) -> CheckResult:
+def check_entropy_derivative() -> CheckResult:
     """S against -dF/dT by central differences, relative."""
     params = ChainParams(4, 1.0, -1.0, 1.0, 1.0)
-    spec = _perturbed(diagonalize_params(params), perturb)
+    spec = diagonalize_params(params)
     worst = 0.0
     for t in (1.0, 5.0, 20.0, 80.0):
         s = entropy(spec, t)
@@ -217,28 +207,30 @@ def check_entropy_derivative(perturb: float = 0.0) -> CheckResult:
     return CheckResult("entropy vs -dF/dT", worst, 1e-5)
 
 
-def check_fidelity_invariants(perturb: float = 0.0) -> CheckResult:
-    """F(rho,rho)=1 and concurrence staying inside [0, 1]."""
+def check_fidelity_invariants() -> CheckResult:
+    """The thermal-state fidelity of a state with itself is 1 along both
+    fields, and concurrences stay inside [0, 1]."""
     params = ChainParams(4, 1.0, -1.0, 1.0, 2.0)
-    spec = _perturbed(diagonalize_params(params), perturb)
-    rho = density_matrix(gibbs(spec, 8.0))
-    worst = abs(uhlmann_fidelity(rho, rho) - 1.0)
+    worst = max(abs(thermal_state_fidelity(params, field, 8.0, 0.0) - 1.0)
+                for field in FieldTag)
+    rho = density_matrix(gibbs(diagonalize_params(params), 8.0))
     for sites in ([0, 1], [0, 2], [1, 3]):
         c = concurrence(partial_trace(rho, sites))
         worst = max(worst, max(0.0, -c, c - 1.0))
     return CheckResult("fidelity and concurrence bounds", worst, 1e-9)
 
 
-def check_fidelity_quadratic_order(perturb: float = 0.0) -> CheckResult:
+def check_fidelity_quadratic_order() -> CheckResult:
     """|ln F_exact - ln F_approx| / dz^2 stays bounded as dz shrinks,
-    along the commuting magnetic direction."""
+    along the commuting magnetic direction, for the leading-order drop
+    F_approx = exp(-beta dz^2 chi / 8)."""
     params = ChainParams(4, 1.0, -1.0, 1.0, 2.0)
     t = 10.0
-    chi = susceptibility(params, FieldTag.MAGNETIC, t) + perturb
+    chi = susceptibility(params, FieldTag.MAGNETIC, t)
     worst = 0.0
     for dz in (1e-2, 1e-3):
         f_exact = thermal_state_fidelity(params, FieldTag.MAGNETIC, t, dz)
-        f_quad = fidelity_quadratic_approx(1.0 / t, dz, chi)
+        f_quad = np.exp(-dz ** 2 * chi / (8.0 * t))
         worst = max(worst, abs(np.log(f_exact) - np.log(f_quad)) / dz ** 2)
     return CheckResult("fidelity quadratic order", worst, 0.1)
 
@@ -257,5 +249,5 @@ ALL_CHECKS = (
 )
 
 
-def run_all(perturb: float = 0.0) -> list[CheckResult]:
-    return [check(perturb) for check in ALL_CHECKS]
+def run_all() -> list[CheckResult]:
+    return [check() for check in ALL_CHECKS]

@@ -108,12 +108,12 @@ def continue_levels(params: ChainParams, e_from: float, e_to: float,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dim = 2 ** params.n
+    if start is None:
+        start = diagonalize_params(params.replace(e_field=float(e_from)))
     if e_from == e_to:
         return LevelMap(np.arange(dim), e_from, e_to, start)
 
     grid = np.linspace(e_from, e_to, steps + 1)
-    if start is None:
-        start = diagonalize_params(params.replace(e_field=float(grid[0])))
     layout = _ring_plan(params.n)[0]
     chunk = max(1, CHUNK_BYTES // (16 * layout.size))  # complex entries
     prev = _stacked(layout, (start,))

@@ -323,6 +323,19 @@ def test_parameter_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--sweep", "e-field:3.5:nan:3"],
+    ["--sweep", "e-field:3.5:inf:3"],
+    ["--e-field-low", "nan", "--sweep", "e-field:3.5:8:3"],
+])
+def test_otto_non_finite_field_is_a_parameter_error(tmp_path, capsys, flags):
+    # these exited 4 with "numeric failure: Eigenvalues did not converge"
+    code, text = run_cli(["otto", "--n", "4"] + flags, tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "parameter error" in capsys.readouterr().err
+
+
 def test_seventeen_digit_roundtrip(tmp_path):
     _, text = run_cli(["spectrum", "--n", "4", "--e-field", "1"], tmp_path)
     _, rows = parse_csv(text)

@@ -106,6 +106,11 @@ def test_sweep_grid_errors():
         efficiency_sweep(spec, [])
     with pytest.raises(ValueError):
         efficiency_sweep(spec, [-1.0, 2.0])
+    # a non-finite field would reach the eigensolver, which raises
+    # "Eigenvalues did not converge"
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            efficiency_sweep(spec, [4.0, bad])
 
 
 def test_sweep_matches_individual_cycles():
@@ -191,6 +196,21 @@ def test_mapped_cycle_reuses_the_map_spectrum(monkeypatch, mode):
     assert calls == [3.5]
     monkeypatch.undo()
     assert with_map == run_cycle(spec)
+
+
+@pytest.mark.parametrize("mode", [CycleMode.THERMO, CycleMode.QUANTUM])
+def test_run_cycle_rejects_a_map_between_other_fields(mode):
+    # at n=6, b=1 the quantum cycle 3.5 -> 10 gives eta 0.472447 with its
+    # own map; with the maps 3.5 -> 8, 1 -> 10 and 10 -> 3.5 it gave
+    # 0.477651, -6.720629 and 0.479145 and raised nothing
+    params = ChainParams(6, 1.0, -1.0, 1.0, 0.0)
+    spec = CycleSpec(params, 30.0, 10.0, 10.0, 3.5, mode)
+    own = run_cycle(spec, level_map=continue_levels(params, 3.5, 10.0))
+    if mode is CycleMode.QUANTUM:
+        assert own.efficiency == pytest.approx(0.472447, abs=1e-6)
+    for e_from, e_to in ((3.5, 8.0), (1.0, 10.0), (10.0, 3.5)):
+        with pytest.raises(ValueError, match="level map"):
+            run_cycle(spec, level_map=continue_levels(params, e_from, e_to))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -312,6 +332,10 @@ def test_cycle_spec_validation():
         CycleSpec(RING, 10.0, 30.0, 5.0, 3.5)
     with pytest.raises(ValueError):
         CycleSpec(RING, 30.0, 10.0, -5.0, 3.5)
+    for bad in (np.nan, np.inf):
+        for p_high, p_low in ((bad, 3.5), (9.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                CycleSpec(RING, 30.0, 10.0, p_high, p_low, CycleMode.QUANTUM)
 
 
 def test_efficiency_invariant_under_uniform_rescaling():

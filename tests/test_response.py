@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
-from ottochain.correlations import DensityMatrix, density_matrix
+from ottochain.correlations import DensityMatrix, _sqrt_psd, density_matrix
 from ottochain.model import ChainParams
-from ottochain.response import (FieldTag, fidelity_quadratic_approx,
-                                susceptibility, thermal_state_fidelity,
-                                uhlmann_fidelity)
+from ottochain.response import (FieldTag, _fidelity, susceptibility,
+                                thermal_state_fidelity)
 from ottochain.spectra import diagonalize_params
-from ottochain.thermal import free_energy, gibbs
+from ottochain.thermal import TemperatureError, gibbs
 
 
 def thermal_rho(params, t):
     return density_matrix(gibbs(diagonalize_params(params), t))
+
+
+def uhlmann_fidelity(rho0, rho1):
+    """Oracle: F = tr sqrt(sqrt(rho0) rho1 sqrt(rho0)) of two dense density
+    matrices, from their square roots."""
+    if rho0.dim != rho1.dim:
+        raise ValueError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
+    return _fidelity(_sqrt_psd(rho0.entries), _sqrt_psd(rho1.entries))
 
 
 def second_derivative(f, x: float, h: float) -> float:
@@ -28,15 +35,15 @@ def fd_susceptibility(params, field, t):
 
     Step 1e-3 * max(1, |zeta|); all stencil points share one energy
     reference so the cancellation in the second difference happens on O(T)
-    numbers instead of O(|F|) ones.
+    numbers instead of O(|F|) ones: F = e_ref - T ln sum exp(-(E - e_ref)/T).
     """
     name = field.value
     zeta = getattr(params, name)
     e_ref = diagonalize_params(params).ground_energy()
 
     def f(value):
-        spec = diagonalize_params(params.replace(**{name: value}))
-        return free_energy(spec, t, e_ref=e_ref)
+        e = diagonalize_params(params.replace(**{name: value})).energies
+        return e_ref - t * np.log(np.sum(np.exp(-(e - e_ref) / t)))
 
     return -second_derivative(f, zeta, 1e-3 * max(1.0, abs(zeta)))
 
@@ -139,12 +146,18 @@ def test_magnetic_peak_moves_down_with_ring_size():
     assert peaks[8][1] > peaks[4][1]
 
 
-def test_quadratic_approx_basics():
-    assert fidelity_quadratic_approx(0.1, 0.0, 3.0) == 1.0
-    values = [fidelity_quadratic_approx(0.1, dz, 3.0) for dz in (0.0, 0.1, 0.5, 2.0)]
-    assert all(x > y for x, y in zip(values, values[1:]))
-    with pytest.raises(ValueError):
-        fidelity_quadratic_approx(0.0, 0.1, 1.0)
+def test_thermal_state_fidelity_basics():
+    # 1 at dz = 0 along both fields, falling with |dz| inside [0, 1], and
+    # no fidelity at T = 0
+    params = ChainParams(4, 1.0, -1.0, 1.0, 2.0)
+    for field in FieldTag:
+        assert thermal_state_fidelity(params, field, 10.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        values = [thermal_state_fidelity(params, field, 10.0, dz)
+                  for dz in (0.0, 0.1, 0.5, 2.0)]
+        assert all(x > y for x, y in zip(values, values[1:]))
+        assert values[-1] >= 0.0
+    with pytest.raises(TemperatureError):
+        thermal_state_fidelity(params, FieldTag.MAGNETIC, 0.0, 0.1)
 
 
 def test_quadratic_approx_order():
@@ -155,6 +168,6 @@ def test_quadratic_approx_order():
     ratios = []
     for dz in (1e-2, 1e-3):
         f_exact = thermal_state_fidelity(params, FieldTag.MAGNETIC, t, dz)
-        f_quad = fidelity_quadratic_approx(1.0 / t, dz, chi)
+        f_quad = np.exp(-dz ** 2 * chi / (8.0 * t))
         ratios.append(abs(np.log(f_exact) - np.log(f_quad)) / dz ** 2)
     assert max(ratios) < 0.1

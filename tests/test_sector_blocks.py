@@ -7,14 +7,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dense_oracle import dense_states
 from ottochain.correlations import (DensityMatrix, DensityMatrixError, _sqrt_psd,
                                     chirality_expectation, density_matrix,
                                     partial_trace)
 from ottochain.model import ChainParams, build_chirality_operator, build_total_sz
 from ottochain.response import (FieldTag, susceptibility,
                                 thermal_state_fidelity)
-from ottochain.spectra import (Spectrum, _ring_plan, continue_levels,
-                               diagonalize_params)
+from ottochain.spectra import _ring_plan, diagonalize_params
 from ottochain.thermal import gibbs
 
 OPERATORS = {FieldTag.MAGNETIC: build_total_sz,
@@ -24,7 +24,7 @@ FIDELITY_STEP = 0.1
 
 def dense_density_matrix(g):
     """rho = V diag(P) V^dagger over the whole basis."""
-    v = g.spectrum.states
+    v = dense_states(g.spectrum)
     return (v * g.populations) @ v.conj().T
 
 
@@ -91,7 +91,7 @@ def test_blocks_equal_dense_oracles(n, b, p):
     params = ChainParams(n, 1.0, -1.0, b, p)
     spec = diagonalize_params(params)
     shifted = diagonalize_params(params.replace(e_field=p + FIDELITY_STEP))
-    v = spec.states
+    v = dense_states(spec)
     eigenbasis = {field: v.conj().T @ build(n) @ v
                   for field, build in OPERATORS.items()}
     for t in (2.0, 10.0, 40.0):
@@ -135,19 +135,6 @@ def test_thermal_state_buffer_holds_only_the_blocks():
     rho = density_matrix(gibbs(diagonalize_params(ChainParams(8, b=1.0)), 5.0))
     assert rho.buffer.size == layout.size == sum(
         basis.size ** 2 for _, basis in layout.sectors)
-
-
-def test_production_paths_never_read_dense_states(monkeypatch):
-    def dense_states(self):
-        raise AssertionError("a production path assembled Spectrum.states")
-
-    monkeypatch.setattr(Spectrum, "states", property(dense_states))
-    params = ChainParams(4, 1.0, -1.0, 1.0, 2.0)
-    density_matrix(gibbs(diagonalize_params(params), 5.0))
-    for field in FieldTag:
-        susceptibility(params, field, 5.0)
-        thermal_state_fidelity(params, field, 5.0, FIDELITY_STEP)
-    continue_levels(params, 0.5, 3.0)
 
 
 def test_production_paths_build_no_dense_density_matrix(monkeypatch, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dense_oracle import dense_states
 from ottochain.model import ChainParams
 from ottochain.otto import CycleMode, CycleSpec, run_cycle
 from ottochain.semiclassical import (ScConfig, efficiency_sc, entropy_sc,
@@ -78,7 +79,8 @@ def test_second_order_support_levels():
 
     spec = diagonalize_params(ChainParams(4, 1.0, -1.0, 1.0, 0.0))
     k = build_chirality_operator(4)
-    km = spec.states.conj().T @ k @ spec.states
+    v = dense_states(spec)
+    km = v.conj().T @ k @ v
     weights = np.sum(np.abs(km) ** 2, axis=1)  # diagonal + off-diagonal
     support = spec.energies[weights > 1e-9]
     special_values = np.unique(np.round(CFG.e_special, 9))

@@ -6,6 +6,7 @@ import pytest
 
 import continuation_oracle as oracle
 from continuation_oracle import _levels, _match, _stacked
+from dense_oracle import dense_states
 from ottochain.analytic4 import spectrum4
 from ottochain.model import ChainParams, build_hamiltonian, build_total_sz
 from ottochain import spectra
@@ -29,6 +30,16 @@ def diagonalize(h, sz):
     return _spectrum(layout, _eigh_stacks(layout, buf[None]), 0)
 
 
+def walk_grid(params, e_from, e_to, steps):
+    """The level map from e_from to e_to walked over the steps + 1 fields of
+    an even grid between them, or over the two fields for steps None."""
+    if steps is None:
+        return continue_levels(params, e_from, e_to)
+    for level_map in spectra._level_maps(params, np.linspace(e_from, e_to, steps + 1)):
+        pass
+    return level_map
+
+
 def match_step(spec_a, spec_b):
     """The oracle's `_match` for one step between two ring spectra: (permutation a->b of
     the level indices, worst matched |overlap|)."""
@@ -46,7 +57,7 @@ def match_step_loop(spec_a, spec_b):
     perm = np.empty(spec_a.dim, dtype=int)
     worst = 1.0
     scale = max(1.0, float(np.max(np.abs(spec_a.energies))))
-    states_a, states_b = spec_a.states, spec_b.states
+    states_a, states_b = dense_states(spec_a), dense_states(spec_b)
     for value in np.unique(spec_a.sz_sector):
         ia = np.flatnonzero(spec_a.sz_sector == value)
         ib = np.flatnonzero(spec_b.sz_sector == value)
@@ -81,7 +92,8 @@ def test_zero_matrix_all_zero_energies():
     assert not np.any(build_hamiltonian(params))
     spec = diagonalize_params(params)
     assert np.max(np.abs(spec.energies)) == 0.0
-    overlaps = spec.states.conj().T @ spec.states
+    v = dense_states(spec)
+    overlaps = v.conj().T @ v
     assert np.max(np.abs(overlaps - np.eye(16))) <= 1e-12
 
 
@@ -93,14 +105,15 @@ def test_spectrum_invariants(n):
     spec = diagonalize_params(params)
     scale = max(1.0, np.max(np.abs(h)))
     # eigenpair residuals and orthonormality
-    residual = h @ spec.states - spec.states * spec.energies
+    states = dense_states(spec)
+    residual = h @ states - states * spec.energies
     assert np.max(np.abs(residual)) <= 1e-10 * scale
-    gram = spec.states.conj().T @ spec.states
+    gram = states.conj().T @ states
     assert np.max(np.abs(gram - np.eye(2 ** n))) <= 1e-10
     # every eigenvector lives in one magnetization sector
     szd = np.real(np.diag(sz))
     for idx in range(2 ** n):
-        v = spec.states[:, idx]
+        v = states[:, idx]
         mean = float(np.real(v.conj() @ (szd * v)))
         var = float(np.real(v.conj() @ (szd ** 2 * v))) - mean ** 2
         assert var <= 1e-10
@@ -121,7 +134,8 @@ def test_reconstruction():
     params = ChainParams(6, 1.0, -1.0, 1.0, 0.8)
     h = build_hamiltonian(params)
     spec = diagonalize_params(params)
-    recon = (spec.states * spec.energies) @ spec.states.conj().T
+    states = dense_states(spec)
+    recon = (states * spec.energies) @ states.conj().T
     assert np.max(np.abs(h - recon)) <= 1e-9 * max(1.0, np.max(np.abs(h)))
 
 
@@ -131,6 +145,7 @@ def test_eigenvectors_independent_of_field_b():
     base = ChainParams(4, 1.0, -1.0, 0.0, 1.7)
     spec_a = diagonalize_params(base.replace(b=0.3))
     spec_b = diagonalize_params(base.replace(b=1.9))
+    states_a, states_b = dense_states(spec_a), dense_states(spec_b)
     for sector in np.unique(spec_a.sz_sector):
         ia = np.flatnonzero(spec_a.sz_sector == sector)
         ib = np.flatnonzero(spec_b.sz_sector == sector)
@@ -142,8 +157,8 @@ def test_eigenvectors_independent_of_field_b():
         for energy in np.unique(np.round(ea, 9)):
             sel_a = ia[np.abs(ea - energy) < 1e-8]
             sel_b = ib[np.abs(eb - energy) < 1e-8]
-            pa = spec_a.states[:, sel_a]
-            pb = spec_b.states[:, sel_b]
+            pa = states_a[:, sel_a]
+            pb = states_b[:, sel_b]
             proj_a = pa @ pa.conj().T
             proj_b = pb @ pb.conj().T
             assert np.max(np.abs(proj_a - proj_b)) <= 1e-9
@@ -152,6 +167,14 @@ def test_eigenvectors_independent_of_field_b():
 def test_continuation_identity_when_fields_equal():
     m = continue_levels(ChainParams(4, 1.0, -1.0, 1.0, 0.0), 2.0, 2.0)
     assert np.array_equal(m.permutation, np.arange(16))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_continuation_rejects_non_finite_fields(bad):
+    params = ChainParams(4, 1.0, -1.0, 1.0, 0.0)
+    for e_from, e_to in ((bad, 2.0), (2.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            continue_levels(params, e_from, e_to)
 
 
 def test_continuation_reversible():
@@ -186,7 +209,7 @@ def test_continuation_through_symmetry_protected_crossing():
     # even a single coarse step identifies them across the crossing and
     # their sorted positions swap
     params = ChainParams(4, 1.0, -1.0, 1.0, 0.0)
-    m = continue_levels(params, 1.5, 2.0, steps=1)
+    m = continue_levels(params, 1.5, 2.0)
     spec_a = diagonalize_params(params.replace(e_field=1.5))
     spec_b = diagonalize_params(params.replace(e_field=2.0))
     rising = -2.0 + 2.0 * np.sqrt(25.0 + 8.0 * 1.5 ** 2)
@@ -272,7 +295,7 @@ def test_continuation_equals_per_step_loop(n, b):
         want = oracles[e_from, e_to]
         if want is None:
             continue
-        got = continue_levels(params, e_from, e_to, steps)
+        got = walk_grid(params, e_from, e_to, steps)
         start = diagonalize_params(params.replace(e_field=e_from)).energies
         apart = np.diff(start) > 1e-9 * max(1.0, float(np.abs(start).max()))
         alone = np.r_[True, apart] & np.r_[apart, True]
@@ -354,7 +377,7 @@ def test_level_map_does_not_depend_on_the_grid():
     spec = CycleSpec(params, 30.0, 10.0, 14.0, 3.5, CycleMode.QUANTUM)
     coarse = oracle.continue_levels(params, 3.5, 14.0, 21)
     assert run_cycle(spec, level_map=coarse).efficiency == pytest.approx(0.866084, abs=1e-6)
-    maps = [continue_levels(params, 3.5, 14.0, steps) for steps in (11, 21, None)]
+    maps = [walk_grid(params, 3.5, 14.0, steps) for steps in (11, 21, None)]
     for m in maps:
         assert np.array_equal(m.permutation, maps[0].permutation)
         assert run_cycle(spec, level_map=m).efficiency == pytest.approx(0.864082, abs=1e-6)
@@ -368,11 +391,11 @@ def test_level_map_memory_does_not_grow_with_the_grid():
 
     params = ChainParams(8, 1.0, -1.0, 1.0, 0.0)
     assert spectra.STACK_BYTES // (16 * _ring_plan(8)[0].size) == 5
-    continue_levels(params, 3.5, 5.5, 2)
+    walk_grid(params, 3.5, 5.5, 2)
     peaks = []
     for steps in (20, 200):
         tracemalloc.start()
-        continue_levels(params, 3.5, 14.0, steps)
+        walk_grid(params, 3.5, 14.0, steps)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < 1.2 * peaks[0]
@@ -395,7 +418,7 @@ def test_exact_crossing_in_two_momentum_blocks():
         apart = np.diff(start) > 1e-9 * max(1.0, float(np.abs(start).max()))
         alone = np.r_[True, apart] & np.r_[apart, True]
         got, (_, bisections, crossings) = walk_counts(
-            lambda: continue_levels(params, e_from, e_to, steps))
+            lambda: walk_grid(params, e_from, e_to, steps))
         assert crossings == 2
         assert bisections >= bisected
         reached = got.spectrum.energies[got.permutation] - want.spectrum.energies[want.permutation]

@@ -103,12 +103,6 @@ def test_thermodynamic_identity(spec):
         assert f == pytest.approx(u - t * s, abs=1e-10 * max(1.0, abs(f)))
 
 
-def test_shared_reference_consistent(spec):
-    f_own = free_energy(spec, 5.0)
-    f_shifted = free_energy(spec, 5.0, e_ref=spec.ground_energy() + 3.0)
-    assert f_own == pytest.approx(f_shifted, abs=1e-12)
-
-
 @pytest.mark.parametrize("t", [0.0, -1.0])
 def test_temperature_must_be_positive(spec, t):
     with pytest.raises(TemperatureError):

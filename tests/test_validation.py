@@ -1,3 +1,7 @@
+import dataclasses
+
+import numpy as np
+
 from ottochain import validation
 
 
@@ -14,9 +18,17 @@ def test_suite_reports_deviations():
         assert r.name
 
 
-def test_energy_perturbation_negative_control():
-    # a 1e-3 energy perturbation must trip the oracle comparisons
-    results = validation.run_all(perturb=1e-3)
+def test_energy_perturbation_negative_control(monkeypatch):
+    # a 1e-3 energy perturbation of the numeric spectra must trip the
+    # oracle comparisons
+    solve = validation.diagonalize_params
+
+    def perturbed(params):
+        spec = solve(params)
+        return dataclasses.replace(spec, energies=spec.energies + 1e-3 * np.arange(spec.dim))
+
+    monkeypatch.setattr(validation, "diagonalize_params", perturbed)
+    results = validation.run_all()
     failing = {r.name for r in results if not r.passed}
     assert "spectrum vs closed form" in failing
     assert "partition sum vs closed form" in failing
