@@ -24,7 +24,7 @@ from .correlations import (_ring_distance_pairs, chirality_expectation,
                            one_tangle)
 from .model import ChainParams, ParameterError
 from .otto import CycleMode, CycleSpec, efficiency_sweep, size_scaling
-from .response import FieldTag, _field_blocks, _kubo
+from .response import FieldTag, _kubo
 from .semiclassical import (ScConfig, entropy_sc, free_energy_sc,
                             efficiency_sc, perturbation_valid)
 from .spectra import ContinuationError, DiagonalizationError, diagonalize_params
@@ -53,6 +53,8 @@ def _parse_sweep(text: str):
         start_f, stop_f, count_i = float(start), float(stop), int(count)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not (np.isfinite(start_f) and np.isfinite(stop_f)):
+        raise argparse.ArgumentTypeError(f"sweep bounds must be finite, got {text!r}")
     if count_i < 1:
         raise argparse.ArgumentTypeError("sweep count must be >= 1")
     return var, start_f, stop_f, count_i
@@ -124,8 +126,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
             if dest not in known:
                 raise ParameterError(f"unknown config key {key!r}")
             if dest == "sweep":
-                value = [_parse_sweep(v) for v in
-                         (value if isinstance(value, list) else [value])]
+                try:
+                    value = [_parse_sweep(v) for v in
+                             (value if isinstance(value, list) else [value])]
+                except argparse.ArgumentTypeError as exc:
+                    raise ParameterError(f"config key {key!r}: {exc}") from exc
             mapped[dest] = value
         for sub in parser.subcommands.values():
             sub.set_defaults(**mapped)
@@ -240,12 +245,11 @@ def cmd_susceptibility(args) -> None:
     params = _params(args)
     # every temperature shares one spectrum
     spec = diagonalize_params(params)
-    ops = [_field_blocks(field, params.n)
-           for field in (FieldTag.MAGNETIC, FieldTag.ELECTRIC)]
 
     def one(value):
         t = float(value)
-        return [t] + [_kubo(spec, blocks, t) for blocks in ops]
+        return [t] + [_kubo(spec, field, t)
+                      for field in (FieldTag.MAGNETIC, FieldTag.ELECTRIC)]
 
     rows = _map_rows(one, values, args.jobs)
     write_table(_meta(args), ["t", "chi_b", "chi_e"], rows, args.format, args.out)
@@ -340,7 +344,7 @@ def main(argv=None) -> int:
     except (ParameterError, TemperatureError, ValueError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except (DiagonalizationError, ContinuationError, ZeroDivisionError,
+    except (DiagonalizationError, ContinuationError, ArithmeticError,
             np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

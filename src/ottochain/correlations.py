@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .model import ChainParams, _pattern
-from .spectra import (_Layout, _layout, _pattern_positions, _placement, _ring_plan,
-                      diagonalize_params)
+from .spectra import (_Layout, _blocks, _layout, _pattern_positions, _placement,
+                      _spectral_sum, diagonalize_params)
 from .thermal import GibbsState, gibbs
 
 TAU2_ZERO = 1e-12
@@ -38,7 +38,7 @@ class DensityMatrix:
     It is kept as square blocks on disjoint sets of basis states, back to
     back in the flat `buffer` of its `spectra._Layout`, and is zero outside
     its blocks.  A thermal ring state has one block per s^z sector, on the
-    ring layout of `_ring_plan`; a matrix given densely, as
+    layout of its spectrum; a matrix given densely, as
     `DensityMatrix(entries, site_labels)`, is one block over the whole
     basis.  `entries` assembles the dense matrix on demand.
     """
@@ -83,14 +83,6 @@ class DensityMatrix:
         return out
 
 
-def _blocks(layout: _Layout, buffer: np.ndarray):
-    """(position in `layout.sectors`, basis states, d x d view) of every
-    block of `buffer`."""
-    for d, members, start in layout.groups:
-        for s, block in zip(members, buffer[start:start + members.size * d * d].reshape(-1, d, d)):
-            yield s, layout.sectors[s][1], block
-
-
 @lru_cache(maxsize=None)
 def _single_block(n: int) -> _Layout:
     return _layout({0: np.arange(2 ** n)})
@@ -98,20 +90,11 @@ def _single_block(n: int) -> _Layout:
 
 def density_matrix(g: GibbsState) -> DensityMatrix:
     """rho = sum_n P_n |psi_n><psi_n| from the Gibbs populations.  Every
-    level lies in one s^z sector, so rho is written block by block into the
-    buffer of the ring layout, rho[s, s] = V_s diag(P_s) V_s^dagger."""
+    level lies in one s^z sector, so rho is written on the spectrum's
+    layout, rho[s, s] = V_s diag(P_s) V_s^dagger."""
     spec = g.spectrum
-    n = spec.dim.bit_length() - 1
-    layout = _ring_plan(n)[0]
-    if [sector.value for sector in spec.sectors] != [value for value, _ in layout.sectors]:
-        raise DensityMatrixError("the spectrum's sectors are not those of the "
-                                 f"{n}-site ring layout, in its order")
-    buf = np.empty(layout.size, dtype=complex)
-    for s, _, block in _blocks(layout, buf):
-        sector = spec.sectors[s]
-        v = sector.vectors
-        np.matmul(v * g.populations[sector.levels], v.conj().T, out=block)
-    return DensityMatrix._of_blocks(buf, layout, range(n))
+    return DensityMatrix._of_blocks(_spectral_sum(spec, g.populations), spec.layout,
+                                    range(spec.dim.bit_length() - 1))
 
 
 @lru_cache(maxsize=32)

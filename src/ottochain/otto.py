@@ -25,7 +25,7 @@ import numpy as np
 from .correlations import density_matrix, one_tangle, two_tangle
 from .model import ChainParams
 from .spectra import LevelMap, Spectrum, _level_maps, diagonalize_params
-from .thermal import gibbs
+from .thermal import _check_t, gibbs
 
 
 class CycleMode(enum.Enum):
@@ -47,7 +47,9 @@ class CycleSpec:
     mode: CycleMode = CycleMode.THERMO
 
     def __post_init__(self):
-        if not self.t_hot > self.t_cold > 0:
+        _check_t(self.t_hot)
+        _check_t(self.t_cold)
+        if not self.t_hot > self.t_cold:
             raise ValueError(
                 f"need t_hot > t_cold > 0, got ({self.t_hot}, {self.t_cold})")
         if not all(np.isfinite(p) and p >= 0 for p in (self.p_high, self.p_low)):

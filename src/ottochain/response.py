@@ -9,12 +9,11 @@ free energy."""
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
 import numpy as np
 
 from .model import ChainParams, _pattern
-from .spectra import Spectrum, _ring_blocks, diagonalize_params
+from .spectra import Spectrum, _pattern_positions, _stacks, diagonalize_params
 from .thermal import gibbs
 
 
@@ -27,34 +26,16 @@ class FieldTag(enum.Enum):
 
 def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """tr sqrt(sqrt(rho0) rho1 sqrt(rho0)) as the sum of the singular values
-    of a^dagger b, for any factors rho0 = a a^dagger and rho1 = b b^dagger.
-    Singular values stay accurate where eigenvalues of rho0 and rho1 sit at
-    the round-off floor; square roots of eigenvalues of the product would
-    not."""
-    return float(np.sum(np.linalg.svd(a.conj().T @ b, compute_uv=False)))
+    of a^dagger b, for any factors rho0 = a a^dagger and rho1 = b b^dagger,
+    summed over a stack of such pairs.  Singular values stay accurate where
+    eigenvalues of rho0 and rho1 sit at the round-off floor; square roots
+    of eigenvalues of the product would not."""
+    return float(np.sum(np.linalg.svd(a.conj().swapaxes(-1, -2) @ b, compute_uv=False)))
 
 
-def _field_blocks(field: FieldTag, n: int) -> list[np.ndarray]:
-    """The s^z blocks of the operator the field couples to, total s^z or K,
-    in the sector order of a ring spectrum."""
-    pat = _pattern(n)
-    return _ring_blocks(n, pat.sz if field is FieldTag.MAGNETIC else pat.k)
-
-
-@lru_cache(maxsize=None)
-def _block_pairs(sizes: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For square blocks of the given sizes, flattened one after another:
-    the row and column of every entry as positions in the concatenation of
-    the blocks' levels, and the positions of the diagonal entries."""
-    starts = np.cumsum((0,) + sizes[:-1])
-    rows = np.concatenate([a + np.repeat(np.arange(d), d) for a, d in zip(starts, sizes)])
-    cols = np.concatenate([a + np.tile(np.arange(d), d) for a, d in zip(starts, sizes)])
-    return rows, cols, np.flatnonzero(rows == cols)
-
-
-def _kubo(spec: Spectrum, blocks: list[np.ndarray], t: float) -> float:
-    """-d^2F/dzeta^2 of the field coupled to op, on one spectrum, from the
-    s^z blocks op[s, s] of op, one per sector of spec.
+def _kubo(spec: Spectrum, field: FieldTag, t: float) -> float:
+    """-d^2F/dzeta^2 of the field's operator op, total s^z or K, on one
+    spectrum; op is written on the spectrum's layout from its pattern.
 
     op conserves s^z, so in the eigenbasis it is block-diagonal, with blocks
     O_s = V_s^dagger op[s, s] V_s, and only pairs of levels inside one
@@ -63,26 +44,33 @@ def _kubo(spec: Spectrum, blocks: list[np.ndarray], t: float) -> float:
     w_nm = (P_n - P_m) / (E_m - E_n) >= 0, and w_nm = beta P_n for pairs
     closer than 1e-9 max(1, max|E|).  This equals the usual
     sum |O_nm|^2 w_nm - beta <op>^2 without its cancellation when <op>^2
-    is large.
+    is large.  The sums run over the block-size stacks of the layout.
     """
-    levels = np.concatenate([s.levels for s in spec.sectors])
-    e = spec.energies[levels]
-    p = gibbs(spec, t).populations[levels]
-    rows, cols, diagonal = _block_pairs(tuple(s.levels.size for s in spec.sectors))
-    o = np.concatenate([(s.vectors.conj().T @ block @ s.vectors).ravel()
-                        for s, block in zip(spec.sectors, blocks)])
-    o[diagonal] -= np.real(o[diagonal]) @ p
-    gap = e[cols] - e[rows]
-    close = np.abs(gap) <= 1e-9 * max(1.0, float(np.max(np.abs(e))))
-    w = np.where(close, p[rows] / t,
-                 (p[rows] - p[cols]) / np.where(close, 1.0, gap))
-    return float(np.sum(np.abs(o) ** 2 * w))
+    pat = _pattern(spec.dim.bit_length() - 1)
+    op = np.zeros(spec.layout.size, dtype=complex)
+    op[_pattern_positions(spec.layout)] = pat.sz if field is FieldTag.MAGNETIC else pat.k
+    p = gibbs(spec, t).populations
+    # per stack: energies and populations of the rows (m, d, 1), and O (m, d, d)
+    stacks = [(spec.energies[levels][:, :, None], p[levels][:, :, None],
+               v.conj().swapaxes(1, 2) @ block @ v) for levels, v, block in _stacks(spec, op)]
+    mean = sum(np.real(np.diagonal(o, axis1=1, axis2=2)).ravel() @ q.ravel()
+               for _, q, o in stacks)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(spec.energies))))
+    chi = 0.0
+    for e, q, o in stacks:
+        diagonal = np.arange(o.shape[-1])
+        o[:, diagonal, diagonal] -= mean
+        gap = e.swapaxes(1, 2) - e
+        close = np.abs(gap) <= tol
+        w = np.where(close, q / t, (q - q.swapaxes(1, 2)) / np.where(close, 1.0, gap))
+        chi += np.sum(np.abs(o) ** 2 * w)
+    return float(chi)
 
 
 def susceptibility(params: ChainParams, field: FieldTag, t: float) -> float:
     """chi(zeta) = -d^2 F / d zeta^2 at fixed temperature, as the Kubo sum
     over the levels of one spectrum."""
-    return _kubo(diagonalize_params(params), _field_blocks(field, params.n), t)
+    return _kubo(diagonalize_params(params), field, t)
 
 
 def thermal_state_fidelity(params: ChainParams, field: FieldTag, t: float,
@@ -95,8 +83,8 @@ def thermal_state_fidelity(params: ChainParams, field: FieldTag, t: float,
     name = field.value
     zeta = getattr(params, name)
     shifted = params.replace(**{name: zeta + dzeta})
-    specs = [diagonalize_params(point) for point in (params, shifted)]
-    roots = [np.sqrt(gibbs(spec, t).populations) for spec in specs]
-    return float(sum(
-        _fidelity(a.vectors * roots[0][a.levels], b.vectors * roots[1][b.levels])
-        for a, b in zip(specs[0].sectors, specs[1].sectors)))
+    factors = []
+    for spec in (diagonalize_params(point) for point in (params, shifted)):
+        root = np.sqrt(gibbs(spec, t).populations)
+        factors.append([v * root[levels][:, None, :] for levels, v in _stacks(spec)])
+    return float(sum(_fidelity(a, b) for a, b in zip(*factors)))

@@ -76,7 +76,9 @@ def perturbation_valid(t: float, p: float, cfg: ScConfig) -> bool:
 def heat_integral_sc(p: float, t_lo: float, t_hi: float, cfg: ScConfig) -> float:
     """integral of T dS over [t_lo, t_hi] at fixed field, which is
     U(t_hi) - U(t_lo) with U = F + T S."""
-    if not 0 < t_lo < t_hi:
+    _check_t(t_lo)
+    _check_t(t_hi)
+    if not t_lo < t_hi:
         raise TemperatureError(f"need 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
 
     def u(t):
@@ -92,7 +94,9 @@ def efficiency_sc(t_l: float, t_h: float, p: float, p1: float,
     Heat enters at the larger field p and leaves at p1, matching the exact
     cycle bookkeeping; both heats are T dS integrals over [t_l, t_h].
     """
-    if not t_h > t_l > 0:
+    _check_t(t_l)
+    _check_t(t_h)
+    if not t_h > t_l:
         raise TemperatureError(f"need t_h > t_l > 0, got ({t_h}, {t_l})")
     denom = heat_integral_sc(p, t_l, t_h, cfg)
     if denom == 0.0:

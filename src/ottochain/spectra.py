@@ -3,8 +3,9 @@ across changes of the electric field.
 
 Within each magnetization sector the Hamiltonian is a dense Hermitian block.
 The ring's blocks are filled straight from the operator pattern into one
-buffer, and the blocks of equal size are solved by one stacked eigensolve;
-a Spectrum keeps its eigenvectors as those blocks.
+buffer, and the blocks of equal size are solved by one stacked eigensolve,
+which overwrites each block with its eigenvectors; a Spectrum keeps that
+buffer.
 
 A level map labels every level by its magnetization and its momentum k.  H,
 K and total s^z commute with the one-site translation, so each s^z sector
@@ -56,27 +57,19 @@ class ContinuationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Sector:
-    """One total-s^z block of a spectrum: the basis indices with
-    magnetization `value`, the positions of its levels in the ascending
-    order of the whole spectrum (increasing), and the d x d eigenvector
-    block whose column k is level `levels[k]` on `basis`."""
-
-    value: int
-    basis: np.ndarray
-    levels: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted ascending, the integer total-s^z eigenvalue of
-    each level, and the eigenvectors as one block per sector, in ascending
-    order of the magnetization."""
+    """Eigenvalues sorted ascending and the integer total-s^z eigenvalue of
+    each level, with the eigenvectors kept as the s^z blocks of `layout`:
+    `vectors` is the layout's flat buffer, in which column j of a sector's
+    block is its j-th level on the sector's basis, and `levels` gives the
+    index in `energies` of each of those levels, in buffer order (block
+    after block as `layout.groups` lists them, column after column)."""
 
     energies: np.ndarray
     sz_sector: np.ndarray
-    sectors: tuple[Sector, ...]
+    layout: _Layout = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+    levels: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -114,15 +107,14 @@ class _Layout(NamedTuple):
     """Where the s^z blocks of one basis partition sit in a flat buffer.
 
     `sectors` lists (magnetization, basis indices) in ascending order of the
-    magnetization, `starts` the offset of each sector's levels in their
-    concatenation and `labels` the magnetization of each concatenated level.
-    `groups` lists, for each block size d, the positions in `sectors` of the
-    blocks of that size and the buffer offset from which they sit back to
-    back as one (m, d, d) stack.  Layouts compare and hash by identity, so
-    that plans on a layout can be cached under it."""
+    magnetization.  `groups` lists, for each block size d, the positions in
+    `sectors` of the blocks of that size and the buffer offset from which
+    they sit back to back as one (m, d, d) stack.  `labels` gives the
+    magnetization of each level of the blocks, in buffer order (block after
+    block as `groups` lists them, d levels each).  Layouts compare and hash
+    by identity, so that plans on a layout can be cached under it."""
 
     sectors: tuple
-    starts: np.ndarray
     labels: np.ndarray
     groups: tuple
     size: int
@@ -134,14 +126,14 @@ class _Layout(NamedTuple):
 def _layout(sectors: dict) -> _Layout:
     items = tuple(sorted(sectors.items()))
     sizes = np.array([idx.size for _, idx in items])
+    values = np.array([value for value, _ in items])
     groups, start = [], 0
     for d in sorted(set(sizes.tolist())):
         members = np.flatnonzero(sizes == d)
         groups.append((d, members, start))
         start += members.size * d * d
-    return _Layout(items, np.cumsum(sizes) - sizes,
-                   np.repeat([value for value, _ in items], sizes),
-                   tuple(groups), start)
+    labels = np.concatenate([np.repeat(values[members], d) for d, members, _ in groups])
+    return _Layout(items, labels, tuple(groups), start)
 
 
 @lru_cache(maxsize=None)
@@ -187,39 +179,61 @@ def _placement(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offset, head, local
 
 
-def _ring_blocks(n: int, values: np.ndarray) -> list[np.ndarray]:
-    """The s^z blocks of the ring operator with `values` at the nonzeros of
-    `_pattern(n)`, in ascending order of the magnetization, like the
-    sectors of a ring spectrum."""
-    layout, target = _ring_plan(n)
-    buf = np.zeros(layout.size, dtype=complex)
-    buf[target] = values
-    out = [None] * len(layout.sectors)
+def _blocks(layout: _Layout, buffer: np.ndarray):
+    """(position in `layout.sectors`, basis states, d x d view) of every
+    block of `buffer`."""
     for d, members, start in layout.groups:
-        for s, block in zip(members, buf[start:start + members.size * d * d].reshape(-1, d, d)):
-            out[s] = block
-    return out
+        for s, block in zip(members, buffer[start:start + members.size * d * d].reshape(-1, d, d)):
+            yield s, layout.sectors[s][1], block
+
+
+def _stacks(spec: Spectrum, *buffers):
+    """Per block size d of the spectrum's layout, which holds m blocks of
+    that size: the index in `spec.energies` of each of their levels
+    (m, d), their eigenvectors (m, d, d), and the same blocks of each of
+    `buffers`, flat buffers on that layout, as (m, d, d) views."""
+    first = 0
+    for d, members, start in spec.layout.groups:
+        stop = start + members.size * d * d
+        yield (spec.levels[first:first + members.size * d].reshape(-1, d),
+               *(b[start:stop].reshape(-1, d, d) for b in (spec.vectors, *buffers)))
+        first += members.size * d
+
+
+def _spectral_sum(spec: Spectrum, weights: np.ndarray) -> np.ndarray:
+    """sum_n weights[n] |n><n| over the levels of spec, for real weights, as
+    a buffer on its layout: V_s (V_s W_s)^dagger = V_s W_s V_s^dagger in
+    the block of each sector, W_s = diag(weights_s), one stacked product
+    per block size and one temporary stack."""
+    buf = np.empty(spec.layout.size, dtype=complex)
+    for levels, v, block in _stacks(spec, buf):
+        vw = v * weights[levels][:, None, :]
+        np.matmul(v, np.conjugate(vw, out=vw).swapaxes(1, 2), out=block)
+        del vw      # before the next stack's temporary exists
+    return buf
 
 
 def _eigh_stacks(layout: _Layout, buf: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The blocks of c filled buffers (c, layout.size), solved by one stacked
-    eigensolve per block size: per entry of `layout.groups`, eigenvalues
-    (c, m, d) and eigenvectors (c, m, d, d)."""
+    eigensolve per block size, each block overwritten by its eigenvectors:
+    per entry of `layout.groups`, eigenvalues (c, m, d) and eigenvectors
+    (c, m, d, d), a view of buf."""
     out = []
     for d, members, start in layout.groups:
-        stack = buf[:, start:start + members.size * d * d].reshape(-1, d, d)
+        stack = buf[:, start:start + members.size * d * d].reshape(-1, members.size, d, d)
         try:
             ev, vec = np.linalg.eigh(stack)
         except np.linalg.LinAlgError as exc:
             raise DiagonalizationError(str(exc)) from exc
-        out.append((ev.reshape(buf.shape[0], members.size, d),
-                    vec.reshape(buf.shape[0], members.size, d, d)))
+        stack[...] = vec
+        out.append((ev, stack))
     return out
 
 
-def _solve_fields(params: ChainParams, fields) -> list[tuple[np.ndarray, np.ndarray]]:
+def _solve_fields(params: ChainParams, fields) -> tuple[np.ndarray, np.ndarray]:
     """The ring's s^z blocks solved at every electric field in `fields` (the
-    e_field of params is not read), as `_eigh_stacks` returns them.  The
+    e_field of params is not read): per field, the eigenvalues in buffer
+    order and the buffer of eigenvector blocks on the ring layout.  The
     buffers are filled in one assignment from the field-free values, with
     the terms of `_hamiltonian_values` in its order, so each field's blocks
     are bit for bit those of its own Hamiltonian."""
@@ -227,70 +241,62 @@ def _solve_fields(params: ChainParams, fields) -> list[tuple[np.ndarray, np.ndar
     fields = np.asarray(fields, dtype=float)
     buf = np.zeros((fields.size, layout.size), dtype=complex)
     buf[:, target] = _field_free_values(params) - fields[:, None] * _pattern(params.n).k
-    return _eigh_stacks(layout, buf)
+    solved = _eigh_stacks(layout, buf)
+    return np.concatenate([ev.reshape(fields.size, -1) for ev, _ in solved], axis=1), buf
 
 
-def _spectrum(layout: _Layout, solved, i: int) -> Spectrum:
-    """The Spectrum of field i of `solved`, the output of `_eigh_stacks`."""
-    values = [None] * len(layout.sectors)
-    vectors = [None] * len(layout.sectors)
-    for (_, members, _), (ev, vec) in zip(layout.groups, solved):
-        for s, e, v in zip(members, ev[i], vec[i]):
-            values[s], vectors[s] = e, v
-    return _assemble(layout, values, vectors)
-
-
-def _assemble(layout: _Layout, values, vectors) -> Spectrum:
-    """The Spectrum of the eigenvalues and eigenvector blocks of every
-    sector of `layout`, in its order."""
-    energies = np.concatenate(values)
-    order = np.argsort(energies, kind="stable")
-    rank = np.empty(energies.size, dtype=int)
-    rank[order] = np.arange(energies.size)
-    blocks = tuple(Sector(value, basis, rank[a:a + basis.size], v)
-                   for (value, basis), a, v in zip(layout.sectors, layout.starts, vectors))
-    return Spectrum(energies[order], layout.labels[order], blocks)
+def _spectrum(layout: _Layout, energies: np.ndarray, vectors: np.ndarray) -> Spectrum:
+    """The Spectrum of the eigenvalues `energies` and the eigenvector blocks
+    `vectors` of one solve on `layout`, both in buffer order.  Its levels
+    are sorted by energy, then by magnetization, then by rank in their
+    sector: the order of a stable sort of the sectors' energies joined in
+    ascending magnetization."""
+    order = np.lexsort((layout.labels, energies))
+    levels = np.empty(order.size, dtype=int)
+    levels[order] = np.arange(order.size)
+    return Spectrum(energies[order], layout.labels[order], layout, vectors, levels)
 
 
 def diagonalize_params(params: ChainParams) -> Spectrum:
     """Spectrum of the ring Hamiltonian, which is Hermitian and conserves
     total s^z by construction; its s^z blocks are filled straight from the
     operator pattern, without a dense matrix."""
-    return _spectrum(_ring_plan(params.n)[0], _solve_fields(params, [params.e_field]), 0)
+    energies, vectors = _solve_fields(params, [params.e_field])
+    return _spectrum(_ring_plan(params.n)[0], energies[0], vectors[0])
 
 
 @lru_cache(maxsize=None)
-def _momentum_plan(n: int) -> tuple[_Layout, np.ndarray, list]:
+def _momentum_plan(n: int) -> tuple[_Layout, np.ndarray, np.ndarray]:
     """The (s^z, k) blocks of the n-site ring: their layout, keyed by block
     number; bond1, bond2, total s^z and K of `_pattern(n)` in that layout's
-    buffer, one row each; and per s^z sector of `_ring_plan(n)`, the stack
-    positions of its levels (the order in which `_eigh_stacks` lists the
-    eigenvalues of the layout's groups).  The translation T moves every
-    spin one site on.  An orbit of length R with smallest state r carries
-    |r, k> = R^-1/2 sum_j e^{-ikj} T^j |r> for each k = 2 pi m / n with
-    m R = 0 mod n, whose amplitude on x is e^{ik j_x} / sqrt(R), with
-    T^{j_x} x = r."""
-    sectors = _ring_plan(n)[0].sectors
+    buffer, one row each; and the s^z sector (position in the sectors of
+    `_ring_plan(n)`) of each level of the layout, in buffer order, which is
+    the order in which `_eigh_stacks` lists the eigenvalues.  The
+    translation T moves every spin one site on.  An orbit of length R with
+    smallest state r carries |r, k> = R^-1/2 sum_j e^{-ikj} T^j |r> for
+    each k = 2 pi m / n with m R = 0 mod n, whose amplitude on x is
+    e^{ik j_x} / sqrt(R), with T^{j_x} x = r."""
     x = np.arange(2 ** n)
     images = np.array([((x >> j) | (x << (n - j))) & (x.size - 1) for j in range(n)])
     rep, shift = images.min(axis=0), images.argmin(axis=0)
     period = np.argmax(np.vstack([images[1:], images[:1]]) == x, axis=0) + 1
     pat = _pattern(n)
-    ops = [_ring_blocks(n, values) for values in (pat.bond1, pat.bond2, pat.sz, pat.k)]
+    ring, target = _ring_plan(n)
+    ops = np.zeros((4, ring.size), dtype=complex)
+    ops[:, target] = pat.bond1, pat.bond2, pat.sz, pat.k
     blocks = []
-    for s, (_, basis) in enumerate(sectors):
+    for per_op in zip(*(_blocks(ring, op) for op in ops)):
+        s, basis, _ = per_op[0]
         for m in range(n):
             reps = basis[(m * period[basis] % n == 0) & (rep[basis] == basis)]
             u = (rep[basis][:, None] == reps) * (np.exp(2j * np.pi * m * shift[basis] / n)
                                                   / np.sqrt(period[basis]))[:, None]
             if reps.size:
-                blocks.append((s, [u.conj().T @ op[s] @ u for op in ops]))
+                blocks.append((s, [u.conj().T @ op @ u for _, _, op in per_op]))
     layout = _layout({b: np.arange(len(block[0])) for b, (_, block) in enumerate(blocks)})
     buf = np.concatenate([np.stack([blocks[b][1] for b in members], axis=1).reshape(4, -1)
                           for _, members, _ in layout.groups], axis=1)
-    sector = np.concatenate([np.repeat([blocks[b][0] for b in members], d)
-                             for d, members, _ in layout.groups])
-    return layout, buf, [np.flatnonzero(sector == s) for s in range(len(sectors))]
+    return layout, buf, np.array([s for s, _ in blocks])[layout.labels]
 
 
 def _level_index(plan, solved, i: int, spec: Spectrum) -> np.ndarray:
@@ -298,11 +304,11 @@ def _level_index(plan, solved, i: int, spec: Spectrum) -> np.ndarray:
     `plan`, as `_eigh_stacks` returns them), the index of its level in
     `spec`, the s^z-block spectrum at the same field: inside each s^z
     sector the two solves list the same energies, up to rounding, and
-    their levels are paired by rank."""
+    their levels are paired by rank, equal energies in the order of
+    position and of index."""
     energies = np.concatenate([ev[i].ravel() for ev, _ in solved])
     index = np.empty(energies.size, dtype=int)
-    for pos, sector in zip(plan[2], spec.sectors):
-        index[pos[np.argsort(energies[pos], kind="stable")]] = sector.levels
+    index[np.lexsort((energies, plan[2]))] = np.argsort(spec.sz_sector, kind="stable")
     return index
 
 
@@ -425,7 +431,7 @@ def _level_maps(params: ChainParams, fields):
     last = None         # the field before a stack and its momentum blocks
     for first in range(0, distinct.size, per_stack):
         chunk = distinct[first:first + per_stack]
-        solved, blocks = walk.solve(chunk), _solve_fields(params, chunk)
+        solved, (energies, vectors) = walk.solve(chunk), _solve_fields(params, chunk)
         kept = _kept([(ev[:-1], vec[:-1]) for ev, vec in solved],
                      [(ev[1:], vec[1:]) for ev, vec in solved])
         worst = np.min([k.min(axis=(1, 2)) for k in kept], axis=0, initial=1.0)
@@ -436,7 +442,7 @@ def _level_maps(params: ChainParams, fields):
             elif last is not None:
                 move = walk.step(*last, e, at)
                 track = track if move is None else move[track]
-            spec = _spectrum(layout, blocks, i)
+            spec = _spectrum(layout, energies[i], vectors[i])
             index = _level_index(walk.plan, solved, i, spec)
             if last is None:
                 origin, track = index, np.arange(index.size)

@@ -15,12 +15,12 @@ from .spectra import Spectrum
 
 
 class TemperatureError(ValueError):
-    """Temperature must be strictly positive."""
+    """Temperature must be strictly positive and finite."""
 
 
 def _check_t(t: float) -> None:
-    if not t > 0:
-        raise TemperatureError(f"temperature must be > 0, got {t}")
+    if not 0 < t < np.inf:
+        raise TemperatureError(f"temperature must be finite and > 0, got {t}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .correlations import (concurrence, chirality_expectation, density_matrix,
 from .model import (ChainParams, build_chirality_operator, build_hamiltonian,
                     build_total_sz)
 from .response import FieldTag, susceptibility, thermal_state_fidelity
-from .spectra import diagonalize_params
+from .spectra import _blocks, _spectral_sum, diagonalize_params
 from .thermal import entropy, free_energy, gibbs, internal_energy
 
 GRID_J = (0.5, 1.0, 2.0)
@@ -155,9 +155,8 @@ def check_operator_invariants() -> CheckResult:
         worst = max(worst, float(np.max(np.abs(h @ shift - shift @ h))))
         spec = diagonalize_params(params)
         scale = max(1.0, float(np.max(np.abs(h))))
-        for s in spec.sectors:
-            recon = (s.vectors * spec.energies[s.levels]) @ s.vectors.conj().T
-            worst = max(worst, float(np.max(np.abs(h[np.ix_(s.basis, s.basis)] - recon))) / scale)
+        for _, basis, block in _blocks(spec.layout, _spectral_sum(spec, spec.energies)):
+            worst = max(worst, float(np.max(np.abs(h[np.ix_(basis, basis)] - block))) / scale)
         worst = max(worst, float(np.max(np.abs(spec.energies
                                                - np.linalg.eigvalsh(h)))))
     return CheckResult("operator and spectral invariants", worst, 1e-9)

@@ -28,19 +28,24 @@ DEFAULT_STEPS_PER_UNIT = 64
 CHUNK_BYTES = 2 ** 17
 
 
-def _stacked(layout: _Layout, specs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Spectra whose sectors follow `layout`, in the form `_eigh_stacks`
-    returns, one entry of the leading axis per spectrum."""
-    return [(np.array([[spec.energies[spec.sectors[s].levels] for s in members]
-                       for spec in specs]),
-             np.array([[spec.sectors[s].vectors for s in members] for spec in specs]))
-            for _, members, _ in layout.groups]
+def _groups(layout: _Layout, energies, vectors) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Solves on `layout` given as eigenvalues (c, levels) and eigenvector
+    buffers (c, layout.size), both in buffer order, in the form
+    `_eigh_stacks` returns."""
+    c, first, out = len(energies), 0, []
+    for d, members, start in layout.groups:
+        m = members.size
+        out.append((energies[:, first:first + m * d].reshape(c, m, d),
+                    vectors[:, start:start + m * d * d].reshape(c, m, d, d)))
+        first += m * d
+    return out
 
 
-def _levels(spec: Spectrum) -> np.ndarray:
-    """Position in the ascending order of each level, listed sector after
-    sector as the layout concatenates them."""
-    return np.concatenate([s.levels for s in spec.sectors])
+def _stacked(specs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Spectra on one layout in the form `_eigh_stacks` returns, one entry
+    of the leading axis per spectrum."""
+    return _groups(specs[0].layout, np.array([spec.energies[spec.levels] for spec in specs]),
+                   np.array([spec.vectors for spec in specs]))
 
 
 def _match(layout: _Layout, span) -> tuple[np.ndarray, np.ndarray]:
@@ -49,7 +54,7 @@ def _match(layout: _Layout, span) -> tuple[np.ndarray, np.ndarray]:
     `_eigh_stacks` returns).
 
     Returns, per step, the position at the later field of every level, as
-    positions in the layout's concatenation of the sectors' levels (s, dim),
+    positions in the order in which `_eigh_stacks` lists the levels (s, dim),
     and the worst matched |overlap| (s,).  Levels that have a neighbour in
     their sector closer than 1e-9 max(1, max|E|), with E the energies at the
     earlier field, on both sides of the step are exempt from the
@@ -69,6 +74,7 @@ def _match(layout: _Layout, span) -> tuple[np.ndarray, np.ndarray]:
     tol = 1e-9 * np.maximum(1.0, scale)[:, None, None]
     moves = np.empty((steps, layout.labels.size), dtype=int)
     worst = np.ones(steps)
+    first = 0
     for (d, members, _), (ev, vec) in zip(layout.groups, span):
         gap = np.diff(ev, axis=-1)
         degenerate = []
@@ -80,7 +86,8 @@ def _match(layout: _Layout, span) -> tuple[np.ndarray, np.ndarray]:
         overlap = np.abs(np.matmul(vec[:-1].conj().swapaxes(-1, -2), vec[1:]))
         matched = np.diagonal(overlap, axis1=-2, axis2=-1).copy()
         exempt = degenerate[0] & degenerate[1]
-        pos = layout.starts[members][:, None] + np.arange(d)
+        pos = first + np.arange(members.size * d).reshape(-1, d)
+        first += members.size * d
         moves[:, pos] = pos
         for i, j in zip(*np.nonzero(~np.all(matched ** 2 > 0.5 + 1e-6, axis=-1))):
             cols = linear_sum_assignment(-(overlap[i, j] ** 2))[1]
@@ -116,11 +123,11 @@ def continue_levels(params: ChainParams, e_from: float, e_to: float,
     grid = np.linspace(e_from, e_to, steps + 1)
     layout = _ring_plan(params.n)[0]
     chunk = max(1, CHUNK_BYTES // (16 * layout.size))  # complex entries
-    prev = _stacked(layout, (start,))
+    prev = _stacked((start,))
     track = np.arange(dim)
     for first in range(1, steps + 1, chunk):
         fields = grid[first:first + chunk]
-        span = _join(prev, spectra._solve_fields(params, fields))
+        span = _join(prev, _groups(layout, *spectra._solve_fields(params, fields)))
         moves, worst = _match(layout, span)
         for i, b in enumerate(fields):
             step = moves[i]
@@ -131,9 +138,10 @@ def continue_levels(params: ChainParams, e_from: float, e_to: float,
             track = step[track]
         # copies, so that the spectrum at e_to does not hold the whole chunk
         prev = [(ev[-1:].copy(), vec[-1:].copy()) for ev, vec in span]
-    end = _spectrum(layout, prev, 0)
+    end = _spectrum(layout, np.concatenate([ev[0].ravel() for ev, _ in prev]),
+                    np.concatenate([vec[0].ravel() for _, vec in prev]))
     perm = np.empty(dim, dtype=int)
-    perm[_levels(start)] = _levels(end)[track]
+    perm[start.levels] = end.levels[track]
     return LevelMap(perm, e_from, e_to, end)
 
 
@@ -148,7 +156,7 @@ def _refine_step(params: ChainParams, layout: _Layout, solved_a, a: float, b: fl
     """The step from the field a, solved as `solved_a`, to the field b: the
     blocks solved at b and the position at b of every level.  A step whose
     worst overlap falls below OVERLAP_THRESHOLD is bisected."""
-    solved_b = spectra._solve_fields(params, [b])
+    solved_b = _groups(layout, *spectra._solve_fields(params, [b]))
     moves, worst = _match(layout, _join(solved_a, solved_b))
     if worst[0] >= OVERLAP_THRESHOLD:
         return solved_b, moves[0]

@@ -318,22 +318,66 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 16         # flag overrides config
 
 
+@pytest.mark.parametrize("sweep", ["t:1:inf:3", "t:1:5:0"])
+def test_config_sweep_error_is_a_parameter_error(tmp_path, capsys, sweep):
+    # these died with a traceback from argparse.ArgumentTypeError
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"sweep": sweep}))
+    code, text = run_cli(["tangles", "--config", str(cfg)], tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "parameter error" in capsys.readouterr().err
+
+
 def test_parameter_error_exit_code(tmp_path):
     code = main(["spectrum", "--n", "20", "--out", str(tmp_path / "x.csv")])
     assert code == 2
 
 
 @pytest.mark.parametrize("flags", [
-    ["--sweep", "e-field:3.5:nan:3"],
-    ["--sweep", "e-field:3.5:inf:3"],
-    ["--e-field-low", "nan", "--sweep", "e-field:3.5:8:3"],
+    ["otto", "--sweep", "e-field:3.5:nan:3"],
+    ["otto", "--sweep", "e-field:3.5:inf:3"],
+    ["otto", "--e-field-low", "nan", "--sweep", "e-field:3.5:8:3"],
+    ["tangles", "--sweep", "t:1:inf:3"],
+    ["susceptibility", "--sweep", "t:1:inf:3"],
+    ["susceptibility", "--sweep", "t:-inf:1:3"],
 ])
 def test_otto_non_finite_field_is_a_parameter_error(tmp_path, capsys, flags):
-    # these exited 4 with "numeric failure: Eigenvalues did not converge"
-    code, text = run_cli(["otto", "--n", "4"] + flags, tmp_path)
+    # these exited 4 with "numeric failure: Eigenvalues did not converge",
+    # or 2 after numpy's RuntimeWarning from an infinite sweep bound; a
+    # sweep bound is rejected by argparse, which exits 2 itself
+    try:
+        code, text = run_cli(flags[:1] + ["--n", "4"] + flags[1:], tmp_path)
+    except SystemExit as exc:
+        code, text = exc.code, ""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert text == ""
+    assert "parameter error" in err or "sweep bounds must be finite" in err
+    assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["semiclassical", "--t-hot", "inf"],
+    ["susceptibility", "--t", "inf"],
+    ["tangles", "--t", "inf"],
+    ["otto", "--t-hot", "inf"],
+    ["otto", "--t-hot", "inf", "--sweep", "n:4:6:2"],
+])
+def test_infinite_temperature_is_a_parameter_error(tmp_path, capsys, flags):
+    # these printed eta_sc = nan, the row inf,0,0 and rows with Carnot 1
+    code, text = run_cli(flags, tmp_path)
     assert code == 2
     assert text == ""
     assert "parameter error" in capsys.readouterr().err
+
+
+def test_overflow_is_a_numeric_failure(tmp_path, capsys):
+    # t ** 2 in entropy_sc overflows; this died with a traceback
+    code, text = run_cli(["semiclassical", "--sweep", "t:1e308:1e308:1"], tmp_path)
+    assert code == 4
+    assert text == ""
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_seventeen_digit_roundtrip(tmp_path):

@@ -2,13 +2,11 @@
 Kubo susceptibilities and thermal fidelity against the dense 2^n x 2^n
 formulas they replaced, which stay here as the oracles."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from dense_oracle import dense_states
-from ottochain.correlations import (DensityMatrix, DensityMatrixError, _sqrt_psd,
+from ottochain.correlations import (DensityMatrix, _sqrt_psd,
                                     chirality_expectation, density_matrix,
                                     partial_trace)
 from ottochain.model import ChainParams, build_chirality_operator, build_total_sz
@@ -182,9 +180,3 @@ def test_production_paths_build_no_dense_operator(monkeypatch, tmp_path):
         assert main([command, "--n", "4", "--sweep", "t:2:20:3",
                      "--out", str(tmp_path / f"{command}.csv")]) == 0
 
-
-def test_density_matrix_rejects_sectors_out_of_layout_order():
-    spec = diagonalize_params(ChainParams(4, b=1.0, e_field=2.0))
-    shuffled = dataclasses.replace(spec, sectors=spec.sectors[::-1])
-    with pytest.raises(DensityMatrixError, match="4-site ring layout"):
-        density_matrix(gibbs(shuffled, 5.0))

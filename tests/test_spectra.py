@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import continuation_oracle as oracle
-from continuation_oracle import _levels, _match, _stacked
-from dense_oracle import dense_states
+from continuation_oracle import _match, _stacked
+from dense_oracle import dense_states, sector_blocks
 from ottochain.analytic4 import spectrum4
 from ottochain.model import ChainParams, build_hamiltonian, build_total_sz
 from ottochain import spectra
@@ -26,8 +26,9 @@ def diagonalize(h, sz):
     values = np.rint(np.real(np.diag(sz))).astype(int)
     layout = _layout({v: np.flatnonzero(values == v) for v in np.unique(values)})
     bases = [layout.sectors[s][1] for _, members, _ in layout.groups for s in members]
-    buf = np.concatenate([h[np.ix_(b, b)].ravel() for b in bases])
-    return _spectrum(layout, _eigh_stacks(layout, buf[None]), 0)
+    buf = np.concatenate([h[np.ix_(b, b)].ravel() for b in bases])[None]
+    energies = np.concatenate([ev.ravel() for ev, _ in _eigh_stacks(layout, buf)])
+    return _spectrum(layout, energies, buf[0])
 
 
 def walk_grid(params, e_from, e_to, steps):
@@ -44,9 +45,9 @@ def match_step(spec_a, spec_b):
     """The oracle's `_match` for one step between two ring spectra: (permutation a->b of
     the level indices, worst matched |overlap|)."""
     layout = _ring_plan(int(spec_a.dim).bit_length() - 1)[0]
-    moves, worst = _match(layout, _stacked(layout, (spec_a, spec_b)))
+    moves, worst = _match(layout, _stacked((spec_a, spec_b)))
     perm = np.empty(spec_a.dim, dtype=int)
-    perm[_levels(spec_a)] = _levels(spec_b)[moves[0]]
+    perm[spec_a.levels] = spec_b.levels[moves[0]]
     return perm, float(worst[0])
 
 
@@ -252,10 +253,10 @@ def test_pattern_blocks_equal_dense_oracle(n, b):
             scale = max(1.0, float(np.max(np.abs(oracle.energies))))
             assert np.max(np.abs(spec.energies - oracle.energies)) <= 1e-12 * scale
             assert np.array_equal(spec.sz_sector, oracle.sz_sector)
-            for s in spec.sectors:
-                assert np.all(np.diff(s.levels) > 0)
-                residual = h[:, s.basis] @ s.vectors
-                residual[s.basis] -= s.vectors * spec.energies[s.levels]
+            for basis, levels, vectors in sector_blocks(spec):
+                assert np.all(np.diff(levels) > 0)
+                residual = h[:, basis] @ vectors
+                residual[basis] -= vectors * spec.energies[levels]
                 assert np.max(np.abs(residual)) <= 1e-12 * scale
 
 
