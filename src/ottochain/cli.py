@@ -22,7 +22,7 @@ from . import validation
 from .correlations import (_ring_distance_pairs, chirality_expectation,
                            concurrence, density_matrix, partial_trace,
                            one_tangle)
-from .model import ChainParams, ParameterError
+from .model import N_MAX, N_MIN, ChainParams, ParameterError
 from .otto import CycleMode, CycleSpec, efficiency_sweep, size_scaling
 from .response import FieldTag, _kubo
 from .semiclassical import (ScConfig, entropy_sc, free_energy_sc,
@@ -55,6 +55,9 @@ def _parse_sweep(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if not (np.isfinite(start_f) and np.isfinite(stop_f)):
         raise argparse.ArgumentTypeError(f"sweep bounds must be finite, got {text!r}")
+    if var == "n" and not all(b.is_integer() and N_MIN <= b <= N_MAX for b in (start_f, stop_f)):
+        raise argparse.ArgumentTypeError(
+            f"ring-size sweep bounds must be integers in [{N_MIN}, {N_MAX}], got {text!r}")
     if count_i < 1:
         raise argparse.ArgumentTypeError("sweep count must be >= 1")
     return var, start_f, stop_f, count_i
@@ -180,11 +183,21 @@ def write_table(meta: dict, header: list, rows: list, fmt: str, out_path) -> Non
              out_path or "stdout")
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_rows(fn, values, jobs: int) -> list:
-    if jobs > 1:
+    """fn of every value, in order, on at most `jobs` threads, and on no
+    more than there are values or CPUs available to the process."""
+    workers = min(jobs, len(values), _cpus())
+    if workers > 1:
         # deferred: the thread pool's imports cost 0.4 MB in every process
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, values))
     return [fn(v) for v in values]
 

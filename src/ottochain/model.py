@@ -26,11 +26,11 @@ import numpy as np
 
 N_MIN = 2
 # n=12, in a fresh process (2-vCPU guest, one BLAS thread): a spectrum
-# peaks at 152 MB and one chi_E at 205 MB, neither with a dense operator;
-# `ottochain tangles --n 12 --t 10`, whose density matrix is kept as s^z
-# blocks, peaks at 152 MB (376 MB with the dense one it replaced).  One
-# dense 2^n x 2^n complex array is 268 MB there and 4x that at n=13, which
-# was not run
+# takes 1.9-2.1 s and peaks at 132 MB, one chi_E at 205 MB, neither with a
+# dense operator; `ottochain tangles --n 12 --t 10`, whose density matrix
+# is kept as s^z blocks, peaks at 150 MB (376 MB with the dense one it
+# replaced).  One dense 2^n x 2^n complex array is 268 MB there and 4x that
+# at n=13, which was not run
 N_MAX = 12
 
 

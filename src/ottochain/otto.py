@@ -176,8 +176,8 @@ def size_scaling(spec: CycleSpec, n_list) -> list[tuple[int, float]]:
     """Cycle efficiency versus ring size at fixed fields and temperatures."""
     out = []
     for n in n_list:
-        if not 2 <= int(n) <= 10:
-            raise ValueError(f"size scaling supports n in [2, 10], got {n}")
+        if not (float(n).is_integer() and 2 <= n <= 10):
+            raise ValueError(f"size scaling supports integer n in [2, 10], got {n}")
         params = spec.params.replace(n=int(n))
         res = run_cycle(CycleSpec(params, spec.t_hot, spec.t_cold,
                                   spec.p_high, spec.p_low, spec.mode))

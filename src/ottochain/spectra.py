@@ -7,6 +7,18 @@ buffer, and the blocks of equal size are solved by one stacked eigensolve,
 which overwrites each block with its eigenvectors; a Spectrum keeps that
 buffer.
 
+Only sector 0 and the sectors of positive magnetization v are solved.  Let
+F flip every spin (F|x> = |~x>) and C conjugate complex amplitudes in the
+s^z basis.  F keeps both bond sums and reverses s^z and K (each term
+s^x_i s^y_{i+1} - s^y_i s^x_{i+1} changes the sign of its s^y factor); C
+keeps the bonds and s^z and, K being purely imaginary, reverses K.  So CF
+keeps the bonds and K and reverses total s^z, and H' = (CF) H (CF)^-1 is H
+with b -> -b.  An eigenvector psi of the +v block with energy E therefore
+gives CF psi in the -v block with energy E + 2 b v (Sandvik,
+arXiv:1101.3281 sec. 4).  F maps basis state x to 2^n - 1 - x, which
+reverses the ascending basis of a sector, so the -v block's eigenvectors
+are conj(V_v[::-1]), in the same order as those of +v.
+
 A level map labels every level by its magnetization and its momentum k.  H,
 K and total s^z commute with the one-site translation, so each s^z sector
 splits into (s^z, k) blocks (Sandvik, arXiv:1101.3281 sec. 4), whose
@@ -148,6 +160,12 @@ def _ring_plan(n: int) -> tuple[_Layout, np.ndarray]:
     values = np.rint(pat.sz[pat.index % (dim + 1) == 0].real).astype(int)
     # a set, not np.unique, whose first call imports numpy.ma (1.6 MB)
     layout = _layout({v: np.flatnonzero(values == v) for v in set(values.tolist())})
+    # sectors v and -v hold C(n, (n - v) / 2) states each, a number that
+    # rises strictly as |v| falls, so each block size holds sector 0 alone or
+    # the pair (-v, v), in that order: the pairing `_solve_fields` mirrors
+    for _, members, _ in layout.groups:
+        mags = [layout.sectors[s][0] for s in members]
+        assert mags in ([0], [-mags[-1], mags[-1]]), mags
     return layout, _pattern_positions(layout)
 
 
@@ -213,6 +231,14 @@ def _spectral_sum(spec: Spectrum, weights: np.ndarray) -> np.ndarray:
     return buf
 
 
+def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a stack, its failure raised as DiagonalizationError."""
+    try:
+        return np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise DiagonalizationError(str(exc)) from exc
+
+
 def _eigh_stacks(layout: _Layout, buf: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The blocks of c filled buffers (c, layout.size), solved by one stacked
     eigensolve per block size, each block overwritten by its eigenvectors:
@@ -221,11 +247,7 @@ def _eigh_stacks(layout: _Layout, buf: np.ndarray) -> list[tuple[np.ndarray, np.
     out = []
     for d, members, start in layout.groups:
         stack = buf[:, start:start + members.size * d * d].reshape(-1, members.size, d, d)
-        try:
-            ev, vec = np.linalg.eigh(stack)
-        except np.linalg.LinAlgError as exc:
-            raise DiagonalizationError(str(exc)) from exc
-        stack[...] = vec
+        ev, stack[...] = _eigh(stack)
         out.append((ev, stack))
     return out
 
@@ -236,13 +258,24 @@ def _solve_fields(params: ChainParams, fields) -> tuple[np.ndarray, np.ndarray]:
     order and the buffer of eigenvector blocks on the ring layout.  The
     buffers are filled in one assignment from the field-free values, with
     the terms of `_hamiltonian_values` in its order, so each field's blocks
-    are bit for bit those of its own Hamiltonian."""
+    are bit for bit those of its own Hamiltonian.  Only sector 0 and the +v
+    sectors are solved, one stacked eigensolve per block size; each -v
+    block is the mirror of its +v block (see the module docstring)."""
     layout, target = _ring_plan(params.n)
     fields = np.asarray(fields, dtype=float)
     buf = np.zeros((fields.size, layout.size), dtype=complex)
     buf[:, target] = _field_free_values(params) - fields[:, None] * _pattern(params.n).k
-    solved = _eigh_stacks(layout, buf)
-    return np.concatenate([ev.reshape(fields.size, -1) for ev, _ in solved], axis=1), buf
+    energies = []
+    for d, members, start in layout.groups:
+        # the group is sector 0 alone or the pair (-v, v): solve its last block
+        stop = start + members.size * d * d
+        top = buf[:, stop - d * d:stop].reshape(-1, d, d)
+        ev, top[...] = _eigh(top)
+        if members.size == 2:
+            np.conjugate(top[:, ::-1], out=buf[:, start:start + d * d].reshape(-1, d, d))
+            energies.append(ev + 2.0 * params.b * layout.sectors[members[1]][0])
+        energies.append(ev)
+    return np.concatenate(energies, axis=1), buf
 
 
 def _spectrum(layout: _Layout, energies: np.ndarray, vectors: np.ndarray) -> Spectrum:

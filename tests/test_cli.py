@@ -357,6 +357,50 @@ def test_otto_non_finite_field_is_a_parameter_error(tmp_path, capsys, flags):
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("sweep", ["n:1e30:1e30:1", "n:3.4:3.6:1", "n:1:4:4", "n:4:13:2"])
+def test_otto_ring_size_sweep_bounds_are_a_parameter_error(tmp_path, capsys, sweep):
+    # n:1e30:1e30:1 warned about an invalid cast and then rejected
+    # n = -9223372036854775808; n:3.4:3.6:1 ran n = 3
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["otto", "--n", "4", "--sweep", sweep], tmp_path)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.csv").exists()
+    assert "ring-size sweep bounds must be integers" in err
+    assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("jobs, count, workers", [
+    (100000, 40, 8), (100000, 3, 3), (2, 40, 2), (100000, 1, None), (1, 40, None)])
+def test_jobs_pool_is_bounded(monkeypatch, jobs, count, workers):
+    # --jobs 100000 started one thread per pending row, up to 100000
+    import concurrent.futures
+    from ottochain import cli
+
+    sizes = []
+
+    class Inline:
+        """Records the pool size and maps without starting a thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values):
+            return map(fn, values)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Inline)
+    monkeypatch.setattr(cli, "_cpus", lambda: 8)
+    values = list(range(count))
+    assert cli._map_rows(lambda v: v * v, values, jobs) == [v * v for v in values]
+    assert sizes == ([] if workers is None else [workers])
+
+
 @pytest.mark.parametrize("flags", [
     ["semiclassical", "--t-hot", "inf"],
     ["susceptibility", "--t", "inf"],

@@ -325,6 +325,9 @@ def test_size_scaling_bounds():
     spec = CycleSpec(RING, 30.0, 10.0, 10.0, 3.5, CycleMode.THERMO)
     with pytest.raises(ValueError):
         size_scaling(spec, [12])
+    # this ran n = 4
+    with pytest.raises(ValueError, match="integer"):
+        size_scaling(spec, [4.7])
 
 
 def test_cycle_spec_validation():

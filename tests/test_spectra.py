@@ -239,7 +239,7 @@ def test_match_step_equals_pairwise_loop(n, b, path):
 
 
 @pytest.mark.parametrize("n", range(2, 11))
-@pytest.mark.parametrize("b", [0.0, 1.0])
+@pytest.mark.parametrize("b", [0.0, 1.0, -1.3])
 def test_pattern_blocks_equal_dense_oracle(n, b):
     # the production solve fills its s^z blocks straight from the operator
     # pattern; the oracle slices them out of the dense Hamiltonian
@@ -252,12 +252,38 @@ def test_pattern_blocks_equal_dense_oracle(n, b):
             spec = diagonalize_params(params)
             scale = max(1.0, float(np.max(np.abs(oracle.energies))))
             assert np.max(np.abs(spec.energies - oracle.energies)) <= 1e-12 * scale
-            assert np.array_equal(spec.sz_sector, oracle.sz_sector)
+            # per sector: the order of levels degenerate across sectors
+            # follows rounding, and the oracle solves the -v blocks itself
+            for v in np.unique(oracle.sz_sector):
+                mine = spec.energies[spec.sz_sector == v]
+                theirs = oracle.energies[oracle.sz_sector == v]
+                assert mine.size == theirs.size
+                assert np.max(np.abs(mine - theirs)) <= 1e-12 * scale
             for basis, levels, vectors in sector_blocks(spec):
                 assert np.all(np.diff(levels) > 0)
                 residual = h[:, basis] @ vectors
                 residual[basis] -= vectors * spec.energies[levels]
                 assert np.max(np.abs(residual)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_spin_flip_mirrors_sector_pairs(n):
+    # each -v block is the +v block with its basis reversed and conjugated,
+    # at energies E_v + 2 b v; at b = 0 the pair is degenerate
+    for b in (0.0, 0.8, -1.3):
+        spec = diagonalize_params(ChainParams(n, 0.6, -1.1, b, 2.5))
+        blocks = {int(spec.sz_sector[levels[0]]): (levels, vectors)
+                  for _, levels, vectors in sector_blocks(spec)}
+        pairs = [v for v in blocks if v > 0]
+        assert sorted(blocks) == sorted([-v for v in pairs] + [0] * (n % 2 == 0) + pairs)
+        for v in pairs:
+            (up, vec_up), (down, vec_down) = blocks[v], blocks[-v]
+            assert np.array_equal(vec_down, vec_up[::-1].conj())
+            shifted = spec.energies[up] + 2 * b * v
+            scale = np.maximum(1.0, np.abs(shifted))
+            assert np.all(np.abs(spec.energies[down] - shifted) <= 1e-12 * scale)
+            if b == 0.0:
+                assert np.array_equal(spec.energies[down], spec.energies[up])
 
 
 # (path, steps): the two fields alone, 16 steps and a single step, over
