@@ -165,7 +165,7 @@ def _ring_plan(n: int) -> tuple[_Layout, np.ndarray]:
     # the pair (-v, v), in that order: the pairing `_solve_fields` mirrors
     for _, members, _ in layout.groups:
         mags = [layout.sectors[s][0] for s in members]
-        assert mags in ([0], [-mags[-1], mags[-1]]), mags
+        assert mags in ([0], [-abs(mags[-1]), abs(mags[-1])]), mags
     return layout, _pattern_positions(layout)
 
 
