@@ -19,9 +19,8 @@ import sys
 import numpy as np
 
 from . import validation
-from .correlations import (_ring_distance_pairs, chirality_expectation,
-                           concurrence, density_matrix, partial_trace,
-                           one_tangle)
+from .correlations import (_pair_concurrences, _ring_distance_pairs, _two_tangles,
+                           chirality_expectation, density_matrix, one_tangle)
 from .model import N_MAX, N_MIN, ChainParams, ParameterError
 from .otto import CycleMode, CycleSpec, efficiency_sweep, size_scaling
 from .response import FieldTag, _kubo
@@ -242,10 +241,10 @@ def cmd_tangles(args) -> None:
         else:
             p = params.replace(e_field=float(value))
             rho = density_matrix(gibbs(diagonalize_params(p), args.t))
-        cs = [concurrence(partial_trace(rho, [0, r])) for r, _ in pairs]
-        tau2 = sum(m * c * c for (_, m), c in zip(pairs, cs))
-        return ([float(value), one_tangle(rho), tau2]
-                + cs + [chirality_expectation(rho)])
+        # every distance in one stacked Wootters pass
+        cs = _pair_concurrences(rho.buffer, rho.layout, params.n)
+        return ([float(value), one_tangle(rho), float(_two_tangles(cs, params.n))]
+                + cs.tolist() + [chirality_expectation(rho)])
 
     rows = _map_rows(one, values, args.jobs)
     header = ([var, "tau1", "tau2"]

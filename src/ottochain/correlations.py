@@ -118,6 +118,23 @@ def _trace_plan(layout: _Layout, keep: tuple) -> tuple[np.ndarray, np.ndarray]:
     return head[xs] + local[partner[xs, vs]], np.stack([2 * slot, 2 * slot + 1], axis=1).ravel()
 
 
+def _reduced(buffers: np.ndarray, layout: _Layout, keep: tuple) -> np.ndarray:
+    """The reduced matrices on `keep` of F matrices on `layout`, given as
+    their buffers (F, layout.size): (F, d, d) with d = 2^len(keep), from
+    one gather and one bincount.  One buffer (layout.size,) gives one
+    (d, d) matrix."""
+    pos, slots = _trace_plan(layout, keep)
+    d = 2 ** len(keep)
+    shape = buffers.shape[:-1] + (d, d)
+    if buffers.ndim == 2:
+        first = np.arange(len(buffers))[:, None]
+        pos = (pos + layout.size * first).ravel()
+        slots = (slots + 2 * d * d * first).ravel()
+        buffers = buffers.reshape(-1)
+    # the last slot, the imaginary part of the last diagonal entry, is in the plan
+    return np.bincount(slots, buffers[pos].view(float)).view(complex).reshape(shape)
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced density matrix on `keep`, tracing out the remaining sites:
     one gather from the buffer and one bincount.  Keeping every site in
@@ -132,17 +149,27 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise DensityMatrixError(f"sites {list(keep)} out of range for {n} sites")
     if keep == tuple(range(n)):
         return rho
-    pos, slots = _trace_plan(rho.layout, keep)
-    d = 2 ** len(keep)
-    reduced = np.bincount(slots, rho.buffer[pos].view(float), minlength=2 * d * d)
-    return DensityMatrix(reduced.view(complex).reshape(d, d),
-                         tuple(rho.site_labels[s] for s in keep))
+    return DensityMatrix._of_blocks(_reduced(rho.buffer, rho.layout, keep).reshape(-1),
+                                    _single_block(len(keep)),
+                                    (rho.site_labels[s] for s in keep))
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """The PSD square root of a Hermitian matrix or of each of a stack."""
     ev, vec = np.linalg.eigh(m)
     ev = np.clip(ev, 0.0, None)
-    return (vec * np.sqrt(ev)) @ vec.conj().T
+    return (vec * np.sqrt(ev)[..., None, :]) @ np.swapaxes(vec.conj(), -1, -2)
+
+
+def _concurrences(r: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each two-qubit state of an (m, 4, 4) stack:
+    one eigensolve over the 2m matrices rho and rho~, one SVD over the m
+    products of their square roots."""
+    m = len(r)
+    roots = _sqrt_psd(np.concatenate([r, _YY @ r.conj() @ _YY]))
+    lam = np.sort(np.linalg.svd(roots[:m] @ roots[m:], compute_uv=False), axis=1)
+    c = 2 * lam[:, -1] - lam.sum(axis=1)
+    return np.where(c > 0.0, c, 0.0)
 
 
 def concurrence(rho_pair: DensityMatrix) -> float:
@@ -156,11 +183,7 @@ def concurrence(rho_pair: DensityMatrix) -> float:
     """
     if rho_pair.dim != 4:
         raise DensityMatrixError("concurrence needs a 4x4 two-site matrix")
-    r = rho_pair.entries
-    r_tilde = _YY @ r.conj() @ _YY
-    lam = np.sort(np.linalg.svd(_sqrt_psd(r) @ _sqrt_psd(r_tilde),
-                                compute_uv=False))
-    return float(max(0.0, 2 * lam[-1] - lam.sum()))
+    return float(_concurrences(rho_pair.entries[None])[0])
 
 
 def _ring_distance_pairs(n: int):
@@ -170,6 +193,31 @@ def _ring_distance_pairs(n: int):
         mult = 1 if (n % 2 == 0 and r == n // 2) else 2
         out.append((r, mult))
     return out
+
+
+def _pair_concurrences(buffers: np.ndarray, layout: _Layout, n: int) -> np.ndarray:
+    """C(0, r) of the n-site matrices of `buffers` on `layout` (as in
+    `_reduced`) at every ring distance r of `_ring_distance_pairs(n)`, on a
+    last axis over the distances, from one stacked Wootters pass."""
+    pairs = [_reduced(buffers, layout, (0, r)) for r, _ in _ring_distance_pairs(n)]
+    shape = (*buffers.shape[:-1], len(pairs))
+    if not pairs:
+        return np.zeros(shape)
+    return _concurrences(np.stack(pairs, axis=-3).reshape(-1, 4, 4)).reshape(shape)
+
+
+def _two_tangles(cs: np.ndarray, n: int) -> np.ndarray:
+    """tau_2 = sum_r m_r C(r)^2 of each row of `_pair_concurrences`."""
+    total = np.zeros(cs.shape[:-1])
+    for j, (_, mult) in enumerate(_ring_distance_pairs(n)):
+        total += mult * cs[..., j] * cs[..., j]
+    return total
+
+
+def _one_tangles(buffers: np.ndarray, layout: _Layout) -> np.ndarray:
+    """tau_1 = 4 det rho_1 of the matrices of `buffers` on `layout` (as in
+    `_reduced`), rho_1 the reduced matrix of site 0."""
+    return 4.0 * np.real(np.linalg.det(_reduced(buffers, layout, (0,))))
 
 
 def two_tangle(rho: DensityMatrix, n: int) -> float:
@@ -182,17 +230,12 @@ def two_tangle(rho: DensityMatrix, n: int) -> float:
     if n != rho.n_sites:
         raise DensityMatrixError(
             f"two_tangle got n={n} for a matrix over {rho.n_sites} sites")
-    total = 0.0
-    for r, mult in _ring_distance_pairs(n):
-        c = concurrence(partial_trace(rho, [0, r]))
-        total += mult * c * c
-    return total
+    return float(_two_tangles(_pair_concurrences(rho.buffer, rho.layout, n), n))
 
 
 def one_tangle(rho: DensityMatrix) -> float:
     """tau_1 = 4 det rho_1 for the single-site reduced matrix of site 0."""
-    r1 = partial_trace(rho, [0])
-    return float(4.0 * np.real(np.linalg.det(r1.entries)))
+    return float(_one_tangles(rho.buffer, rho.layout))
 
 
 def chirality_expectation(rho: DensityMatrix, k: np.ndarray | None = None) -> float:

@@ -18,14 +18,19 @@ flagged as non-engine regimes rather than silently reported.
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .correlations import density_matrix, one_tangle, two_tangle
+from .correlations import _one_tangles, _pair_concurrences, _two_tangles
 from .model import ChainParams
-from .spectra import LevelMap, Spectrum, _level_maps, diagonalize_params
+from .spectra import (STACK_BYTES, LevelMap, Spectrum, _level_maps, _spectral_sum,
+                      diagonalize_params)
 from .thermal import _check_t, gibbs
+
+log = logging.getLogger("ottochain")
 
 
 class CycleMode(enum.Enum):
@@ -57,7 +62,7 @@ class CycleSpec:
                              f"({self.p_high}, {self.p_low})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleResult:
     q_in: float
     q_out: float
@@ -120,7 +125,7 @@ def run_cycle(spec: CycleSpec, level_map: LevelMap | None = None) -> CycleResult
     return _cycle(hi, lo, spec.t_hot, spec.t_cold, perm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     p_high: float
     ratio: float
@@ -140,9 +145,13 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
 
     One level map walks from p_low through the grid in ascending order:
     p_low and each node are solved once, and the walk's spectrum at each
-    node serves both cycles and the tangles of its row.  These spectra are
-    those of `diagonalize_params`, so every row is the cycle `run_cycle`
-    gives with the same map.
+    node serves both cycles and the hot state of its row.  These spectra
+    are those of `diagonalize_params`, so every row is the cycle `run_cycle`
+    gives with the same map.  The hot states are written a stack of at most
+    STACK_BYTES at a time (70 fields at n=6, 5 at n=8, one from n=10 up),
+    and the tangles of a stack come from one stacked Wootters pass, the
+    same numbers as `two_tangle` and `one_tangle` give for each state.  The
+    counts of hot states and of stacked passes are logged at DEBUG level.
     """
     p_grid = [float(p) for p in p_grid]
     if not p_grid or not all(np.isfinite(p) and p > 0 for p in p_grid):
@@ -151,24 +160,37 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
     order = np.argsort(p_grid)
     maps = _level_maps(spec.params, [spec.p_low] + [p_grid[k] for k in order])
     lo = next(maps).spectrum
+    n, layout = spec.params.n, lo.layout
+    hot = np.empty((min(len(p_grid), max(1, STACK_BYTES // (16 * layout.size))), layout.size),
+                   dtype=complex)
+    pairs = zip(maps, order)    # maps first, so that the walk runs to its end and logs its counts
     rows: list = [None] * len(p_grid)
-    # maps first, so that the walk runs to its end and logs its counts
-    for level_map, k in zip(maps, order):
-        p, hi = p_grid[k], level_map.spectrum
-        thermo = _cycle(hi, lo, spec.t_hot, spec.t_cold)
-        quantum = _cycle(hi, lo, spec.t_hot, spec.t_cold, level_map.permutation)
-        hot_state = density_matrix(gibbs(hi, spec.t_hot))
-        rows[k] = SweepRow(
-            p_high=p,
-            ratio=p / spec.p_low if spec.p_low != 0 else float("inf"),
-            eta_quantum=quantum.efficiency,
-            eta_thermo=thermo.efficiency,
-            tau2_hot=two_tangle(hot_state, spec.params.n),
-            tau1_hot=one_tangle(hot_state),
-            quantum_is_engine=quantum.is_engine,
-            thermo_is_engine=thermo.is_engine,
-            carnot=thermo.carnot,
-        )
+    passes = 0
+    while chunk := list(islice(pairs, len(hot))):
+        states = hot[:len(chunk)]
+        for (level_map, _), state in zip(chunk, states):
+            _spectral_sum(level_map.spectrum, gibbs(level_map.spectrum, spec.t_hot).populations,
+                          out=state)
+        tau2 = _two_tangles(_pair_concurrences(states, layout, n), n)
+        tau1 = _one_tangles(states, layout)
+        passes += 1
+        for (level_map, k), t2, t1 in zip(chunk, tau2, tau1):
+            p, hi = p_grid[k], level_map.spectrum
+            thermo = _cycle(hi, lo, spec.t_hot, spec.t_cold)
+            quantum = _cycle(hi, lo, spec.t_hot, spec.t_cold, level_map.permutation)
+            rows[k] = SweepRow(
+                p_high=p,
+                ratio=p / spec.p_low if spec.p_low != 0 else float("inf"),
+                eta_quantum=quantum.efficiency,
+                eta_thermo=thermo.efficiency,
+                tau2_hot=float(t2),
+                tau1_hot=float(t1),
+                quantum_is_engine=quantum.is_engine,
+                thermo_is_engine=thermo.is_engine,
+                carnot=thermo.carnot,
+            )
+    log.debug("efficiency sweep over %d fields: %d hot states in %d stacked tangle passes",
+              len(p_grid), len(p_grid), passes)
     return rows
 
 

@@ -218,12 +218,12 @@ def _stacks(spec: Spectrum, *buffers):
         first += members.size * d
 
 
-def _spectral_sum(spec: Spectrum, weights: np.ndarray) -> np.ndarray:
+def _spectral_sum(spec: Spectrum, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_n weights[n] |n><n| over the levels of spec, for real weights, as
-    a buffer on its layout: V_s (V_s W_s)^dagger = V_s W_s V_s^dagger in
-    the block of each sector, W_s = diag(weights_s), one stacked product
-    per block size and one temporary stack."""
-    buf = np.empty(spec.layout.size, dtype=complex)
+    a buffer on its layout, written into `out` when given: V_s (V_s W_s)^dagger
+    = V_s W_s V_s^dagger in the block of each sector, W_s = diag(weights_s),
+    one stacked product per block size and one temporary stack."""
+    buf = np.empty(spec.layout.size, dtype=complex) if out is None else out
     for levels, v, block in _stacks(spec, buf):
         vw = v * weights[levels][:, None, :]
         np.matmul(v, np.conjugate(vw, out=vw).swapaxes(1, 2), out=block)
@@ -308,28 +308,50 @@ def _momentum_plan(n: int) -> tuple[_Layout, np.ndarray, np.ndarray]:
     translation T moves every spin one site on.  An orbit of length R with
     smallest state r carries |r, k> = R^-1/2 sum_j e^{-ikj} T^j |r> for
     each k = 2 pi m / n with m R = 0 mod n, whose amplitude on x is
-    e^{ik j_x} / sqrt(R), with T^{j_x} x = r."""
+    e^{ik j_x} / sqrt(R), with T^{j_x} x = r.  An operator O that commutes
+    with T has <a, k|O|b, k> = sqrt(R_a / R_b) sum_{y in b} O[r_a, y]
+    e^{ik j_y}, so the blocks are summed from the pattern's nonzeros in the
+    rows of the smallest states, with no dense s^z block."""
     x = np.arange(2 ** n)
     images = np.array([((x >> j) | (x << (n - j))) & (x.size - 1) for j in range(n)])
     rep, shift = images.min(axis=0), images.argmin(axis=0)
     period = np.argmax(np.vstack([images[1:], images[:1]]) == x, axis=0) + 1
     pat = _pattern(n)
-    ring, target = _ring_plan(n)
-    ops = np.zeros((4, ring.size), dtype=complex)
-    ops[:, target] = pat.bond1, pat.bond2, pat.sz, pat.k
-    blocks = []
-    for per_op in zip(*(_blocks(ring, op) for op in ops)):
-        s, basis, _ = per_op[0]
+    row, col = np.divmod(pat.index, x.size)
+    on_rep = rep[row] == row
+    row, col = row[on_rep], col[on_rep]
+    values = (np.array([pat.bond1, pat.bond2, pat.sz, pat.k])[:, on_rep]
+              * np.sqrt(period[row] / period[col]))
+    ring = _ring_plan(n)[0]
+    blocks = []     # (s^z sector, m, smallest states) of every (s^z, k) block
+    for s in (s for _, members, _ in ring.groups for s in members):
+        basis = ring.sectors[s][1]
         for m in range(n):
             reps = basis[(m * period[basis] % n == 0) & (rep[basis] == basis)]
-            u = (rep[basis][:, None] == reps) * (np.exp(2j * np.pi * m * shift[basis] / n)
-                                                  / np.sqrt(period[basis]))[:, None]
             if reps.size:
-                blocks.append((s, [u.conj().T @ op @ u for _, _, op in per_op]))
-    layout = _layout({b: np.arange(len(block[0])) for b, (_, block) in enumerate(blocks)})
-    buf = np.concatenate([np.stack([blocks[b][1] for b in members], axis=1).reshape(4, -1)
-                          for _, members, _ in layout.groups], axis=1)
-    return layout, buf, np.array([s for s, _ in blocks])[layout.labels]
+                blocks.append((s, m, reps))
+    layout = _layout({b: np.arange(reps.size) for b, (_, _, reps) in enumerate(blocks)})
+    offset = np.empty(len(blocks), dtype=int)
+    for d, members, start in layout.groups:
+        offset[members] = start + d * d * np.arange(members.size)
+    pos, amps = [], []
+    for m in range(n):
+        # per smallest state: the buffer position of its row and its
+        # position in its block of momentum m, -1 where m is not allowed
+        head, local = np.full(x.size, -1), np.full(x.size, -1)
+        for b, (_, mb, reps) in enumerate(blocks):
+            if mb == m:
+                local[reps] = np.arange(reps.size)
+                head[reps] = offset[b] + local[reps] * reps.size
+        cols = rep[col]
+        on = (head[row] >= 0) & (local[cols] >= 0)
+        pos.append(head[row[on]] + local[cols[on]])
+        amps.append(values[:, on] * np.exp(2j * np.pi * m * shift[col[on]] / n))
+    slots = (layout.size * np.arange(4)[:, None] + np.concatenate(pos)).ravel()
+    ops = np.bincount(np.stack([2 * slots, 2 * slots + 1], axis=1).ravel(),
+                      np.concatenate(amps, axis=1).ravel().view(float), minlength=8 * layout.size)
+    return (layout, ops.view(complex).reshape(4, -1),
+            np.array([s for s, _, _ in blocks])[layout.labels])
 
 
 def _level_index(plan, solved, i: int, spec: Spectrum) -> np.ndarray:
@@ -337,11 +359,19 @@ def _level_index(plan, solved, i: int, spec: Spectrum) -> np.ndarray:
     `plan`, as `_eigh_stacks` returns them), the index of its level in
     `spec`, the s^z-block spectrum at the same field: inside each s^z
     sector the two solves list the same energies, up to rounding, and
-    their levels are paired by rank, equal energies in the order of
-    position and of index."""
+    their levels are paired by rank.  Levels of one sector closer than
+    DEGENERATE max(1, |E|) to the one below them count as equal energies
+    and keep the order of position, so that the pairing does not hang on
+    the last bits of the solve; equal energies of `spec` keep the order of
+    index."""
     energies = np.concatenate([ev[i].ravel() for ev, _ in solved])
+    by_energy = np.lexsort((energies, plan[2]))
+    e, sector = energies[by_energy], plan[2][by_energy]
+    apart = (sector[1:] != sector[:-1]) | (
+        e[1:] - e[:-1] >= DEGENERATE * np.maximum(1.0, np.abs(e[1:])))
+    run = np.cumsum(np.concatenate(([True], apart)))
     index = np.empty(energies.size, dtype=int)
-    index[np.lexsort((energies, plan[2]))] = np.argsort(spec.sz_sector, kind="stable")
+    index[by_energy[np.lexsort((by_energy, run))]] = np.argsort(spec.sz_sector, kind="stable")
     return index
 
 

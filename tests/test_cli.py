@@ -83,19 +83,35 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_otto_sweep_logs_its_level_map_counts(tmp_path, monkeypatch, caplog):
-    # the README sweep at DEBUG: one line for its level map, which solves
-    # the 22 fields once each and bisects no step
+def otto_sweep_debug_lines(tmp_path, monkeypatch, caplog, *flags):
+    """The DEBUG lines of the README e-field sweep with extra flags."""
     monkeypatch.setenv("OTTO_LOG", "DEBUG")
     caplog.set_level(logging.DEBUG, logger="ottochain")
-    code, _ = run_cli(["otto", "--t-hot", "30", "--t-cold", "10", "--e-field-low",
+    code, _ = run_cli(["otto", *flags, "--t-hot", "30", "--t-cold", "10", "--e-field-low",
                        "3.5", "--sweep", "e-field:3.5:14:22"], tmp_path)
     assert code == 0
-    message, = [r.getMessage() for r in caplog.records
-                if r.name == "ottochain" and r.levelno == logging.DEBUG]
-    assert message.startswith("level map from e_field=3.5 over 23 fields: 22 fields "
-                              "solved, 0 bisections, 0 exact crossings, worst in-block "
-                              "overlap ")
+    return [r.getMessage() for r in caplog.records
+            if r.name == "ottochain" and r.levelno == logging.DEBUG]
+
+
+def test_otto_sweep_logs_its_level_map_counts(tmp_path, monkeypatch, caplog):
+    # the README sweep at DEBUG: one line for its level map, which solves
+    # the 22 fields once each and bisects no step, and one for the sweep,
+    # whose 22 hot states take one stacked tangle pass
+    walk, sweep = otto_sweep_debug_lines(tmp_path, monkeypatch, caplog)
+    assert walk.startswith("level map from e_field=3.5 over 23 fields: 22 fields "
+                           "solved, 0 bisections, 0 exact crossings, worst in-block "
+                           "overlap ")
+    assert sweep == "efficiency sweep over 22 fields: 22 hot states in 1 stacked tangle passes"
+
+
+@pytest.mark.parametrize("n,passes", [(6, 1), (8, 5), (10, 22)])
+def test_otto_sweep_logs_one_tangle_pass_per_stack(tmp_path, monkeypatch, caplog, n, passes):
+    # the hot states are stacked up to STACK_BYTES: 22 fields at n=6, five
+    # at n=8, one at n=10
+    _, sweep = otto_sweep_debug_lines(tmp_path, monkeypatch, caplog, "--n", str(n))
+    assert sweep == (f"efficiency sweep over 22 fields: 22 hot states in {passes} "
+                     "stacked tangle passes")
 
 
 def test_quantum_cycles_load_no_scipy():

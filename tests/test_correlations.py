@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalar_oracle
 from ottochain import analytic4, correlations
 from ottochain.correlations import (DensityMatrix, DensityMatrixError,
                                     NoThresholdError, chirality_expectation,
@@ -290,3 +291,66 @@ def test_two_tangle_rejects_a_wrong_site_count():
 def test_density_matrix_shape_must_match_sites(entries, labels):
     with pytest.raises(DensityMatrixError):
         DensityMatrix(entries, labels)
+
+
+def random_states(rng, rank, count):
+    """Seeded random two-qubit density matrices of the given rank."""
+    a = rng.normal(size=(count, 4, rank)) + 1j * rng.normal(size=(count, 4, rank))
+    r = a @ a.conj().swapaxes(1, 2)
+    return r / np.trace(r, axis1=1, axis2=2).real[:, None, None]
+
+
+def x_states(rng, count):
+    """X-states: diagonal populations and the coherences rho_14 and rho_23,
+    set to zero in every other state, within the PSD bounds."""
+    p = rng.dirichlet(np.ones(4), size=count)
+    r = np.zeros((count, 4, 4), dtype=complex)
+    r[:, np.arange(4), np.arange(4)] = p
+    phase = np.exp(2j * np.pi * rng.random((count, 2)))
+    size = rng.random((count, 2)) * np.sqrt([p[:, 0] * p[:, 3], p[:, 1] * p[:, 2]]).T
+    size[::2] = 0.0
+    r[:, 0, 3], r[:, 1, 2] = (size * phase).T
+    r[:, 3, 0], r[:, 2, 1] = r[:, 0, 3].conj(), r[:, 1, 2].conj()
+    return r
+
+
+@pytest.mark.parametrize("kind", ["rank 4", "rank 1", "rank 2", "X"])
+def test_stacked_concurrences_equal_the_scalar_oracle(kind):
+    rng = np.random.default_rng(21)
+    states = x_states(rng, 40) if kind == "X" else random_states(rng, int(kind[-1]), 40)
+    got = correlations._concurrences(states)
+    want = [scalar_oracle.concurrence(r) for r in states]
+    assert got.shape == (40,)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # one state alone is the same number as in the stack
+    assert correlations._concurrences(states[3:4])[0] == got[3]
+    if kind == "X":
+        # both branches of max(0, ...): half the states have no coherence
+        assert np.any(got > 0.0) and np.all(got[::2] == 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_stacked_pair_concurrences_equal_the_scalar_oracle(n):
+    # every distance of the thermal states at three temperatures, stacked
+    # and one at a time, and the reduced matrices they come from
+    spec = diagonalize_params(ChainParams(n, 1.0, -1.0, 1.0, 10.0))
+    states = [density_matrix(gibbs(spec, t)) for t in (0.5, 3.0, 30.0)]
+    stack = np.array([rho.buffer for rho in states])
+    layout = states[0].layout
+    cs = correlations._pair_concurrences(stack, layout, n)
+    assert cs.shape == (3, n // 2)
+    assert np.any(cs > 0.0)
+    for rho, row in zip(states, cs):
+        want = [scalar_oracle.concurrence(scalar_oracle.partial_trace(rho, (0, r)))
+                for r in range(1, n // 2 + 1)]
+        assert np.max(np.abs(row - want)) <= 1e-12
+        assert np.array_equal(correlations._pair_concurrences(rho.buffer, layout, n), row)
+        assert two_tangle(rho, n) == pytest.approx(scalar_oracle.two_tangle(rho, n), abs=1e-12)
+        assert one_tangle(rho) == pytest.approx(scalar_oracle.one_tangle(rho), abs=1e-12)
+    for keep in [(0,), (0, n // 2), (n - 1, 1), (2, 0, 1)]:
+        reduced = correlations._reduced(stack, layout, keep)
+        assert reduced.shape == (3, 2 ** len(keep), 2 ** len(keep))
+        for rho, r in zip(states, reduced):
+            want = scalar_oracle.partial_trace(rho, keep)
+            assert np.max(np.abs(r - want)) <= 1e-12
+            assert np.array_equal(correlations._reduced(rho.buffer, layout, keep), r)

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import continuation_oracle as oracle
-from ottochain import spectra
+from ottochain import correlations, spectra
 from ottochain.correlations import density_matrix, one_tangle, two_tangle
 from ottochain.model import ChainParams
 from ottochain.otto import (CycleMode, CycleSpec, efficiency_sweep, run_cycle,
@@ -145,18 +145,19 @@ def count_solves(monkeypatch):
     return calls
 
 
-def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
-    # the README's e-field sweep: p_low, which is also the first node, and
-    # the 21 other nodes, each solved once by the level map, in one stack of
-    # (s^z, k) blocks for the walk and one of s^z blocks for the spectra,
-    # which serve both cycles and the tangles; no step is bisected.  The
-    # overlap-following continuation solved 673 fields, 803 before the reuse
+def check_readme_sweep(monkeypatch, t_hot, entangled):
+    """The README's e-field sweep at n=6 with T_hot = t_hot and T_cold =
+    t_hot / 3, its solves counted: each row against the cycles of its own
+    field and the one-state tangles of its hot state, and `entangled` rows
+    with tau_2 > 0."""
     params = ChainParams(6, 1.0, -1.0, 1.0, 0.0)
     grid = np.linspace(3.5, 14.0, 22)
+    t_cold = t_hot / 3
     calls = count_solves(monkeypatch)
-    rows = efficiency_sweep(CycleSpec(params, 30.0, 10.0, 14.0, 3.5), grid)
+    rows = efficiency_sweep(CycleSpec(params, t_hot, t_cold, 14.0, 3.5), grid)
     assert calls == 2 * grid.tolist()
     monkeypatch.undo()
+    assert sum(row.tau2_hot > 0.0 for row in rows) == entangled
 
     level_map, anchor = None, 3.5
     for p, row in zip(grid, rows):
@@ -164,10 +165,10 @@ def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
         segment = continue_levels(params, anchor, p)
         level_map = segment if level_map is None else level_map.compose(segment)
         anchor = p
-        thermo = run_cycle(CycleSpec(params, 30.0, 10.0, p, 3.5, CycleMode.THERMO))
-        quantum = run_cycle(CycleSpec(params, 30.0, 10.0, p, 3.5, CycleMode.QUANTUM),
+        thermo = run_cycle(CycleSpec(params, t_hot, t_cold, p, 3.5, CycleMode.THERMO))
+        quantum = run_cycle(CycleSpec(params, t_hot, t_cold, p, 3.5, CycleMode.QUANTUM),
                             level_map=level_map)
-        hot = density_matrix(gibbs(diagonalize_params(params.replace(e_field=p)), 30.0))
+        hot = density_matrix(gibbs(diagonalize_params(params.replace(e_field=p)), t_hot))
         assert row.p_high == p
         assert row.eta_thermo == pytest.approx(thermo.efficiency, abs=1e-12)
         assert row.eta_quantum == pytest.approx(quantum.efficiency, abs=1e-12)
@@ -175,6 +176,57 @@ def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
         assert row.quantum_is_engine == quantum.is_engine
         assert row.tau2_hot == pytest.approx(two_tangle(hot, 6), abs=1e-12)
         assert row.tau1_hot == pytest.approx(one_tangle(hot), abs=1e-12)
+
+
+def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
+    # the README's e-field sweep: p_low, which is also the first node, and
+    # the 21 other nodes, each solved once by the level map, in one stack of
+    # (s^z, k) blocks for the walk and one of s^z blocks for the spectra,
+    # which serve both cycles and the tangles; no step is bisected.  The
+    # overlap-following continuation solved 673 fields, 803 before the reuse.
+    # tau_2 of the hot state vanishes on every field at T_hot=30
+    check_readme_sweep(monkeypatch, 30.0, 0)
+
+
+@pytest.mark.parametrize("t_hot,entangled", [(5.0, 22), (10.0, 17), (20.0, 6)])
+def test_readme_sweep_entangled_hot_states(monkeypatch, t_hot, entangled):
+    # the same sweep where the hot state's tau_2 is positive on 22, 17 and 6
+    # of the 22 fields: every row's tau_2 and tau_1 are the one-state tangles
+    check_readme_sweep(monkeypatch, t_hot, entangled)
+
+
+@pytest.mark.parametrize("n,stacks", [(4, [22]), (6, [22]), (8, [5, 5, 5, 5, 2])])
+def test_sweep_tangles_take_one_stacked_wootters_pass_per_stack(monkeypatch, n, stacks):
+    # the hot states of the README sweep are stacked up to STACK_BYTES:
+    # every field up to n=6, five at n=8.  Each stack's concurrences at
+    # every distance come from one call on all its pairs, and its rows are
+    # the one-state tangles of each field
+    params = ChainParams(n, 1.0, -1.0, 1.0, 0.0)
+    grid = np.linspace(3.5, 14.0, 22)
+    calls = []
+    stacked = correlations._concurrences
+
+    def counting(r):
+        calls.append(len(r))
+        return stacked(r)
+
+    monkeypatch.setattr(correlations, "_concurrences", counting)
+    rows = efficiency_sweep(CycleSpec(params, 5.0, 2.0, 14.0, 3.5), grid)
+    assert calls == [f * (n // 2) for f in stacks]
+    monkeypatch.undo()
+    for p, row in zip(grid, rows):
+        hot = density_matrix(gibbs(diagonalize_params(params.replace(e_field=float(p))), 5.0))
+        assert row.tau2_hot == two_tangle(hot, n)
+        assert row.tau1_hot == one_tangle(hot)
+
+
+def test_sweep_rows_and_cycle_results_have_slots():
+    # the rows a sweep returns carry no per-instance dict
+    rows = efficiency_sweep(CycleSpec(RING, 30.0, 10.0, 9.0, 3.5), [4.0, 9.0])
+    for obj in (rows[0], cycle(9.0)):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            obj.carnot = 0.0
 
 
 def test_quantum_cycle_reuses_the_continuation_spectrum(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 import continuation_oracle as oracle
 from continuation_oracle import _match, _stacked
-from dense_oracle import dense_states, sector_blocks
+from dense_oracle import dense_momentum_plan, dense_states, sector_blocks
 from ottochain.analytic4 import spectrum4
 from ottochain.model import ChainParams, build_hamiltonian, build_total_sz
 from ottochain import spectra
@@ -479,3 +479,61 @@ def test_level_map_counts_are_logged(caplog):
     assert message.startswith(
         f"level map from e_field=3.5 over 2 fields: {fields} fields solved, "
         f"{bisections} bisections, {crossings} exact crossings, worst in-block overlap ")
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_momentum_plan_equals_dense_oracle(n):
+    # the (s^z, k) blocks summed from the pattern's nonzeros against the
+    # dense s^z blocks rotated into the momentum basis: the same layout and
+    # sector labels, and the same operators to rounding
+    layout, ops, sectors = spectra._momentum_plan(n)
+    want_layout, want_ops, want_sectors = dense_momentum_plan(n)
+    assert layout.size == want_layout.size
+    assert [(d, m.tolist(), s) for d, m, s in layout.groups] == \
+        [(d, m.tolist(), s) for d, m, s in want_layout.groups]
+    assert np.array_equal(layout.labels, want_layout.labels)
+    assert np.array_equal(sectors, want_sectors)
+    assert np.max(np.abs(ops - want_ops)) <= 1e-13
+
+
+def degenerate_classes(spec, levels):
+    """The s^z sector and the cluster of levels closer than DEGENERATE to
+    their neighbour, in that sector, of each of `levels` of spec."""
+    order = np.lexsort((spec.energies, spec.sz_sector))
+    e, s = spec.energies[order], spec.sz_sector[order]
+    run = np.empty(spec.dim, dtype=int)
+    run[order] = np.cumsum(np.r_[True, (np.diff(s) != 0) | (
+        np.diff(e) >= spectra.DEGENERATE * np.maximum(1.0, np.abs(e[1:])))])
+    return run[levels]
+
+
+def test_momentum_plan_gives_the_dense_plan_level_maps(monkeypatch):
+    # the README sweep at n=6 and 8 maps every level as the dense plan does.
+    # The zero-field maps (p 0 -> 10, b=1) start where more levels of one
+    # sector are degenerate, whose eigenvectors any rounding rotates: they
+    # map the same classes of degenerate levels onto each other, and their
+    # cycles agree
+    sweeps = [(ChainParams(n, 1.0, -1.0, b, 0.0), np.r_[3.5, np.linspace(3.5, 14.0, 22)])
+              for n in (6, 8) for b in (0.7, 1.0, 1.9)]
+    zero = [(ChainParams(n, 1.0, -1.0, 1.0, 0.0), [0.0, 10.0]) for n in (3, 6)]
+
+    def maps():
+        return [list(spectra._level_maps(p, fields)) for p, fields in sweeps + zero]
+
+    def cycles():
+        return [run_cycle(CycleSpec(p, 30.0, 10.0, 10.0, 0.0, CycleMode.QUANTUM))
+                for p, _ in zero]
+
+    got, got_cycles = maps(), cycles()
+    monkeypatch.setattr(spectra, "_momentum_plan", dense_momentum_plan)
+    want, want_cycles = maps(), cycles()
+    for a, b in zip(got[:len(sweeps)], want):
+        assert all(np.array_equal(x.permutation, y.permutation) for x, y in zip(a, b))
+    for (start, a), (_, b) in zip(got[len(sweeps):], want[len(sweeps):]):
+        levels = np.arange(start.spectrum.dim)
+        source = degenerate_classes(start.spectrum, levels)
+        assert sorted(zip(source, degenerate_classes(a.spectrum, a.permutation))) == \
+            sorted(zip(source, degenerate_classes(b.spectrum, b.permutation)))
+    for x, y in zip(got_cycles, want_cycles):
+        assert x.efficiency == pytest.approx(y.efficiency, abs=1e-12)
+        assert x.q_in == pytest.approx(y.q_in, abs=1e-12)
