@@ -113,6 +113,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action, key: str, value):
+    """A config file's `value` for the flag of `action`, with the checks
+    argparse gives the flag: a string goes through the flag's type as if
+    typed after it, a number suits only a numeric flag (an integer only an
+    integer one), and the result must be one of the flag's choices."""
+    if isinstance(value, str) and action.type is not None:
+        try:
+            value = action.type(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ParameterError(f"config key {key!r}: {exc}") from exc
+    elif isinstance(value, bool) or not isinstance(
+            value, {int: int, float: (int, float), None: str}.get(action.type, ())):
+        raise ParameterError(f"config key {key!r} cannot take {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ParameterError(f"config key {key!r} must be one of {action.choices}, "
+                             f"got {value!r}")
+    return value
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config:
@@ -121,19 +140,20 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParameterError(f"cannot read config {args.config}: {exc}")
-        known = {a.dest for a in parser.subcommands[args.command]._actions}
+        if not isinstance(raw, dict):
+            raise ParameterError(f"config {args.config} is not a JSON object")
+        actions = {a.dest: a for a in parser.subcommands[args.command]._actions
+                   if a.nargs != 0}     # not --help, which takes no value
         mapped = {}
         for key, value in raw.items():
             dest = key.replace("-", "_")
-            if dest not in known:
+            if dest not in actions:
                 raise ParameterError(f"unknown config key {key!r}")
-            if dest == "sweep":
-                try:
-                    value = [_parse_sweep(v) for v in
-                             (value if isinstance(value, list) else [value])]
-                except argparse.ArgumentTypeError as exc:
-                    raise ParameterError(f"config key {key!r}: {exc}") from exc
-            mapped[dest] = value
+            if dest == "sweep":     # one sweep or a list of them, like repeated flags
+                mapped[dest] = [_config_value(actions[dest], key, v)
+                                for v in (value if isinstance(value, list) else [value])]
+            else:
+                mapped[dest] = _config_value(actions[dest], key, value)
         for sub in parser.subcommands.values():
             sub.set_defaults(**mapped)
         args = parser.parse_args(argv)

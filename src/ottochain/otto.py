@@ -2,14 +2,18 @@
 
 Both cycles exchange heat with a hot bath at the high electric field and a
 cold bath at the low field; the adiabatic strokes only change the field.
+Each isochore ends in its bath's Gibbs state at its own field, and both
+cycles' heats are the one formula Q_in = E_hi . (P_hot,hi - P_start,hi) and
+Q_out = E_lo . (P_start,lo - P_cold,lo) (Kieu, PRL 93, 140403 (2004); Quan
+et al., PRE 76, 031105 (2007)).  The flavours differ only in the state each
+isochore starts from:
 
-* thermodynamic-adiabatic: each isochore connects the two bath temperatures
-  at its own field, Q_in = sum_n E_n(p_high) [P_n(T_hot) - P_n(T_cold)] and
-  the same at p_low for Q_out.
+* thermodynamic-adiabatic: the other bath's Gibbs state at the isochore's
+  own field.
 * quantum-adiabatic: level populations are frozen along the adiabats and
   transported between fields with the adiabatic LevelMap, which keeps each
-  level's (s^z, k) block and its rank inside it, so the isochores start
-  from the carried-over populations.
+  level's (s^z, k) block and its rank inside it, so each isochore starts
+  from the other's end state carried over.
 
 Efficiency is (Q_in - Q_out)/Q_in; rows with Q_in <= 0 or negative work are
 flagged as non-engine regimes rather than silently reported.
@@ -26,7 +30,7 @@ import numpy as np
 
 from .correlations import _one_tangles, _pair_concurrences, _two_tangles
 from .model import ChainParams
-from .spectra import (STACK_BYTES, LevelMap, Spectrum, _level_maps, _spectral_sum,
+from .spectra import (LevelMap, Spectrum, _level_maps, _per_stack, _spectral_sum,
                       diagonalize_params)
 from .thermal import _check_t, gibbs
 
@@ -72,37 +76,25 @@ class CycleResult:
     is_engine: bool
 
 
-def _result(q_in: float, q_out: float, t_hot: float, t_cold: float) -> CycleResult:
+def _cycle(hi: Spectrum, lo: Spectrum, t_hot: float, t_cold: float, hot_hi: np.ndarray,
+           cold_lo: np.ndarray, start_hi: np.ndarray, start_lo: np.ndarray) -> CycleResult:
+    """The cycle whose isochores take the populations from `start_hi` to the
+    hot Gibbs state `hot_hi` at the high field, and from `start_lo` to the
+    cold one `cold_lo` at the low field."""
+    q_in = float(hi.energies @ (hot_hi - start_hi))
+    q_out = float(lo.energies @ (start_lo - cold_lo))
     work = q_in - q_out
     eff = work / q_in if q_in != 0.0 else float("nan")
     return CycleResult(q_in, q_out, work, eff, 1.0 - t_cold / t_hot,
                        is_engine=(q_in > 0.0 and work >= 0.0))
 
 
-def _heat_between_baths(spec_field: Spectrum, t_hot: float, t_cold: float) -> float:
-    p_hot = gibbs(spec_field, t_hot).populations
-    p_cold = gibbs(spec_field, t_cold).populations
-    return float(spec_field.energies @ (p_hot - p_cold))
-
-
-def _cycle(hi: Spectrum, lo: Spectrum, t_hot: float, t_cold: float,
-           perm: np.ndarray | None = None) -> CycleResult:
-    """The cycle between the spectra at the high and the low field: the
-    thermodynamic one, or with `perm`, the adiabatic level map from the low
-    to the high field, the quantum one."""
-    if perm is None:
-        q_in = _heat_between_baths(hi, t_hot, t_cold)
-        q_out = _heat_between_baths(lo, t_hot, t_cold)
-        return _result(q_in, q_out, t_hot, t_cold)
-
-    pop_cold_lo = gibbs(lo, t_cold).populations
-    pop_hot_hi = gibbs(hi, t_hot).populations
-    carried_up = np.empty_like(pop_cold_lo)
-    carried_up[perm] = pop_cold_lo          # cold populations on the high-field levels
-    carried_down = pop_hot_hi[perm]         # hot populations back on the low-field levels
-    q_in = float(hi.energies @ (pop_hot_hi - carried_up))
-    q_out = float(lo.energies @ (carried_down - pop_cold_lo))
-    return _result(q_in, q_out, t_hot, t_cold)
+def _carried(perm: np.ndarray, cold_lo: np.ndarray, hot_hi: np.ndarray):
+    """The quantum isochores' start states: the cold populations carried up
+    the level map `perm` to the high-field levels, the hot ones back down."""
+    up = np.empty_like(cold_lo)
+    up[perm] = cold_lo
+    return up, hot_hi[perm]
 
 
 def run_cycle(spec: CycleSpec, level_map: LevelMap | None = None) -> CycleResult:
@@ -121,8 +113,10 @@ def run_cycle(spec: CycleSpec, level_map: LevelMap | None = None) -> CycleResult
         lo = diagonalize_params(params.replace(e_field=spec.p_low))
     hi = (diagonalize_params(params.replace(e_field=spec.p_high)) if level_map is None
           else level_map.spectrum)
-    perm = level_map.permutation if spec.mode is CycleMode.QUANTUM else None
-    return _cycle(hi, lo, spec.t_hot, spec.t_cold, perm)
+    hot_hi, cold_lo = gibbs(hi, spec.t_hot).populations, gibbs(lo, spec.t_cold).populations
+    starts = (_carried(level_map.permutation, cold_lo, hot_hi) if spec.mode is CycleMode.QUANTUM
+              else (gibbs(hi, spec.t_cold).populations, gibbs(lo, spec.t_hot).populations))
+    return _cycle(hi, lo, spec.t_hot, spec.t_cold, hot_hi, cold_lo, *starts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,11 +141,13 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
     p_low and each node are solved once, and the walk's spectrum at each
     node serves both cycles and the hot state of its row.  These spectra
     are those of `diagonalize_params`, so every row is the cycle `run_cycle`
-    gives with the same map.  The hot states are written a stack of at most
-    STACK_BYTES at a time (70 fields at n=6, 5 at n=8, one from n=10 up),
-    and the tangles of a stack come from one stacked Wootters pass, the
-    same numbers as `two_tangle` and `one_tangle` give for each state.  The
-    counts of hot states and of stacked passes are logged at DEBUG level.
+    gives with the same map.  Each Gibbs state is evaluated once; the hot
+    one at a node also gives its row's hot state.  The hot states are
+    written a stack of at most STACK_BYTES at a time (70 fields at n=6, 5
+    at n=8, one from n=10 up), and the tangles of a stack come from one
+    stacked Wootters pass, the same numbers as `two_tangle` and
+    `one_tangle` give for each state.  The counts of hot states and of
+    stacked passes are logged at DEBUG level.
     """
     p_grid = [float(p) for p in p_grid]
     if not p_grid or not all(np.isfinite(p) and p > 0 for p in p_grid):
@@ -160,24 +156,25 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
     order = np.argsort(p_grid)
     maps = _level_maps(spec.params, [spec.p_low] + [p_grid[k] for k in order])
     lo = next(maps).spectrum
+    hot_lo, cold_lo = gibbs(lo, spec.t_hot).populations, gibbs(lo, spec.t_cold).populations
     n, layout = spec.params.n, lo.layout
-    hot = np.empty((min(len(p_grid), max(1, STACK_BYTES // (16 * layout.size))), layout.size),
-                   dtype=complex)
+    hot = np.empty((min(len(p_grid), _per_stack(layout)), layout.size), dtype=complex)
     pairs = zip(maps, order)    # maps first, so that the walk runs to its end and logs its counts
     rows: list = [None] * len(p_grid)
     passes = 0
     while chunk := list(islice(pairs, len(hot))):
         states = hot[:len(chunk)]
-        for (level_map, _), state in zip(chunk, states):
-            _spectral_sum(level_map.spectrum, gibbs(level_map.spectrum, spec.t_hot).populations,
-                          out=state)
+        hot_pops = [gibbs(level_map.spectrum, spec.t_hot).populations for level_map, _ in chunk]
+        for (level_map, _), hot_hi, state in zip(chunk, hot_pops, states):
+            _spectral_sum(level_map.spectrum, hot_hi, out=state)
         tau2 = _two_tangles(_pair_concurrences(states, layout, n), n)
         tau1 = _one_tangles(states, layout)
         passes += 1
-        for (level_map, k), t2, t1 in zip(chunk, tau2, tau1):
+        for (level_map, k), hot_hi, t2, t1 in zip(chunk, hot_pops, tau2, tau1):
             p, hi = p_grid[k], level_map.spectrum
-            thermo = _cycle(hi, lo, spec.t_hot, spec.t_cold)
-            quantum = _cycle(hi, lo, spec.t_hot, spec.t_cold, level_map.permutation)
+            common = (hi, lo, spec.t_hot, spec.t_cold, hot_hi, cold_lo)
+            thermo = _cycle(*common, gibbs(hi, spec.t_cold).populations, hot_lo)
+            quantum = _cycle(*common, *_carried(level_map.permutation, cold_lo, hot_hi))
             rows[k] = SweepRow(
                 p_high=p,
                 ratio=p / spec.p_low if spec.p_low != 0 else float("inf"),

@@ -13,7 +13,7 @@ import enum
 import numpy as np
 
 from .model import ChainParams, _pattern
-from .spectra import Spectrum, _pattern_positions, _stacks, diagonalize_params
+from .spectra import DEGENERATE, Spectrum, _pattern_positions, _stacks, diagonalize_params
 from .thermal import gibbs
 
 
@@ -33,6 +33,11 @@ def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(a.conj().swapaxes(-1, -2) @ b, compute_uv=False)))
 
 
+def _check_field(field) -> None:
+    if not isinstance(field, FieldTag):
+        raise ValueError(f"field must be a FieldTag, got {field!r}")
+
+
 def _kubo(spec: Spectrum, field: FieldTag, t: float) -> float:
     """-d^2F/dzeta^2 of the field's operator op, total s^z or K, on one
     spectrum; op is written on the spectrum's layout from its pattern.
@@ -42,7 +47,7 @@ def _kubo(spec: Spectrum, field: FieldTag, t: float) -> float:
     sector enter.  With the mean <op> taken off the diagonal,
     chi = sum_nm |O_nm - <op> delta_nm|^2 w_nm, where
     w_nm = (P_n - P_m) / (E_m - E_n) >= 0, and w_nm = beta P_n for pairs
-    closer than 1e-9 max(1, max|E|).  This equals the usual
+    closer than DEGENERATE max(1, max|E|).  This equals the usual
     sum |O_nm|^2 w_nm - beta <op>^2 without its cancellation when <op>^2
     is large.  The sums run over the block-size stacks of the layout.
     """
@@ -55,7 +60,7 @@ def _kubo(spec: Spectrum, field: FieldTag, t: float) -> float:
                v.conj().swapaxes(1, 2) @ block @ v) for levels, v, block in _stacks(spec, op)]
     mean = sum(np.real(np.diagonal(o, axis1=1, axis2=2)).ravel() @ q.ravel()
                for _, q, o in stacks)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(spec.energies))))
+    tol = DEGENERATE * max(1.0, float(np.max(np.abs(spec.energies))))
     chi = 0.0
     for e, q, o in stacks:
         diagonal = np.arange(o.shape[-1])
@@ -70,6 +75,7 @@ def _kubo(spec: Spectrum, field: FieldTag, t: float) -> float:
 def susceptibility(params: ChainParams, field: FieldTag, t: float) -> float:
     """chi(zeta) = -d^2 F / d zeta^2 at fixed temperature, as the Kubo sum
     over the levels of one spectrum."""
+    _check_field(field)
     return _kubo(diagonalize_params(params), field, t)
 
 
@@ -80,6 +86,7 @@ def thermal_state_fidelity(params: ChainParams, field: FieldTag, t: float,
     Both states are block-diagonal in s^z, so F is the sum over sectors of
     the fidelity of the blocks, each factored as rho_s = X_s X_s^dagger with
     X_s = V_s diag(sqrt P_s)."""
+    _check_field(field)
     name = field.value
     zeta = getattr(params, name)
     shifted = params.replace(**{name: zeta + dzeta})

@@ -478,6 +478,11 @@ class _Walk:
         return True, moves
 
 
+def _per_stack(layout) -> int:
+    """The complex buffers on `layout` that fit in STACK_BYTES, at least one."""
+    return max(1, STACK_BYTES // (16 * layout.size))
+
+
 def _level_maps(params: ChainParams, fields):
     """The level maps from fields[0] to each of `fields`, in order, each
     with the spectrum at its field.  The distinct fields are walked in the
@@ -489,7 +494,7 @@ def _level_maps(params: ChainParams, fields):
     new = np.flatnonzero(np.r_[True, np.diff(fields) != 0])
     repeats, distinct = np.diff(np.r_[new, fields.size]), fields[new]
     layout = _ring_plan(params.n)[0]
-    per_stack = max(1, STACK_BYTES // (16 * layout.size))
+    per_stack = _per_stack(layout)
     walk = _Walk(params)
     last = None         # the field before a stack and its momentum blocks
     for first in range(0, distinct.size, per_stack):

@@ -345,6 +345,38 @@ def test_config_sweep_error_is_a_parameter_error(tmp_path, capsys, sweep):
     assert "parameter error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tangles", "otto"])
+@pytest.mark.parametrize("config", [
+    [1, 2], "text", {"b-field": None}, {"e-field": [1]}, {"sweep": 5},
+    {"sweep": ["t:1:5:3", 4]}, {"sweep": [[]]}, {"out": 7}, {"out": 1}, {"format": "xml"},
+    {"n": True}, {"n": 3.5}, {"help": "x"},
+], ids=repr)
+def test_config_value_error_is_a_parameter_error(tmp_path, monkeypatch, capfd, command, config):
+    # config values skipped argparse's checks: a non-object file or None,
+    # a list or an integer for a flag's string died with an AttributeError,
+    # a TypeError or an OSError, "out": 1 wrote the table to descriptor 1
+    # and closed it, and "format": "xml" wrote CSV
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert main([command, "--config", "run.json"]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert "parameter error" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_config_values_take_the_types_of_flags(tmp_path):
+    # a string goes through the flag's type, as typed on the command line
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "3", "e-field": "2.5", "format": "json",
+                               "sweep": ["t:1:5:3"]}))
+    code, text = run_cli(["tangles", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    payload = json.loads(text)
+    assert (payload["meta"]["n"], payload["meta"]["e_field"]) == (3, 2.5)
+    assert len(payload["rows"]) == 3
+
+
 def test_parameter_error_exit_code(tmp_path):
     code = main(["spectrum", "--n", "20", "--out", str(tmp_path / "x.csv")])
     assert code == 2

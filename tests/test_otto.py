@@ -1,9 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 import continuation_oracle as oracle
-from ottochain import correlations, spectra
+import cycle_oracle
+from ottochain import correlations, otto, spectra
 from ottochain.correlations import density_matrix, one_tangle, two_tangle
 from ottochain.model import ChainParams
 from ottochain.otto import (CycleMode, CycleSpec, efficiency_sweep, run_cycle,
@@ -193,6 +196,65 @@ def test_readme_sweep_entangled_hot_states(monkeypatch, t_hot, entangled):
     # the same sweep where the hot state's tau_2 is positive on 22, 17 and 6
     # of the 22 fields: every row's tau_2 and tau_1 are the one-state tangles
     check_readme_sweep(monkeypatch, t_hot, entangled)
+
+
+def bitwise_equal(a, b):
+    """The fields of two CycleResults or SweepRows are the same bits, NaN
+    equal to NaN."""
+    return all(x == y or (x != x and y != y) for x, y in zip(astuple(a), astuple(b)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_one_heat_formula_equals_the_two_it_replaced(n):
+    # every row of a 9-field sweep over [3.5, 14] and both modes of
+    # run_cycle at p_high in {0, 3.5, 10}, on every magnetic field, bath
+    # pair and p_low, are the bits of the two heat formulas the one formula
+    # replaced, each of which evaluated its own Gibbs states
+    grid = np.linspace(3.5, 14.0, 9)
+    for b in (0.0, 0.7, 1.0, -1.3, 1.9):
+        params = ChainParams(n, 1.0, -1.0, b, 0.0)
+        for t_hot, t_cold in ((30.0, 10.0), (5.0, 2.0), (20.0, 1.0)):
+            for p_low in (0.0, 3.5):
+                spec = CycleSpec(params, t_hot, t_cold, 14.0, p_low)
+                rows = efficiency_sweep(spec, grid)
+                want = cycle_oracle.efficiency_sweep(spec, grid)
+                assert all(map(bitwise_equal, rows, want)), (b, t_hot, p_low)
+                for mode in CycleMode:
+                    for p_high in (0.0, 3.5, 10.0):
+                        spec = CycleSpec(params, t_hot, t_cold, p_high, p_low, mode)
+                        assert bitwise_equal(run_cycle(spec), cycle_oracle.run_cycle(spec)), \
+                            (b, t_hot, p_low, mode, p_high)
+
+
+def count_gibbs(monkeypatch):
+    """The temperatures of the Gibbs states `otto` evaluates from now on."""
+    calls = []
+    gibbs = otto.gibbs
+
+    def counting(spec, t):
+        calls.append(t)
+        return gibbs(spec, t)
+
+    monkeypatch.setattr(otto, "gibbs", counting)
+    return calls
+
+
+def test_readme_sweep_evaluates_each_gibbs_state_once(monkeypatch):
+    # both states at p_low and both at each of the 22 nodes: 2F + 2 = 46,
+    # where each row's two cycles and its hot state evaluated 7F = 154
+    params = ChainParams(6, 1.0, -1.0, 1.0, 0.0)
+    calls = count_gibbs(monkeypatch)
+    efficiency_sweep(CycleSpec(params, 30.0, 10.0, 14.0, 3.5), np.linspace(3.5, 14.0, 22))
+    assert sorted(calls) == [10.0] * 23 + [30.0] * 23
+
+
+@pytest.mark.parametrize("mode,count", [(CycleMode.THERMO, 4), (CycleMode.QUANTUM, 2)])
+def test_run_cycle_gibbs_states(monkeypatch, mode, count):
+    # the thermodynamic cycle needs both baths at both fields, the quantum
+    # one only the hot state at p_high and the cold one at p_low
+    calls = count_gibbs(monkeypatch)
+    cycle(9.0, mode=mode)
+    assert len(calls) == count
 
 
 @pytest.mark.parametrize("n,stacks", [(4, [22]), (6, [22]), (8, [5, 5, 5, 5, 2])])

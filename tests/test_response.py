@@ -171,3 +171,21 @@ def test_quadratic_approx_order():
         f_quad = np.exp(-dz ** 2 * chi / (8.0 * t))
         ratios.append(abs(np.log(f_exact) - np.log(f_quad)) / dz ** 2)
     assert max(ratios) < 0.1
+
+
+@pytest.mark.parametrize("field", ["b", "e_field", None, 0])
+def test_susceptibility_takes_only_a_field_tag(field):
+    # "b" and None gave 1.0684, chi_E, where chi_B is 0.4245
+    params = ChainParams(4, 1.0, -1.0, 1.0, 2.0)
+    assert susceptibility(params, FieldTag.MAGNETIC, 5.0) == pytest.approx(0.4245, abs=1e-4)
+    assert susceptibility(params, FieldTag.ELECTRIC, 5.0) == pytest.approx(1.0684, abs=1e-4)
+    with pytest.raises(ValueError, match="FieldTag"):
+        susceptibility(params, field, 5.0)
+
+
+@pytest.mark.parametrize("field", ["b", "e_field", None])
+def test_thermal_state_fidelity_takes_only_a_field_tag(field):
+    # "b" raised an AttributeError
+    params = ChainParams(4, 1.0, -1.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="FieldTag"):
+        thermal_state_fidelity(params, field, 5.0, 1e-3)
