@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -183,11 +185,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """A table value as strict JSON takes it: a numpy scalar as its Python
+    value, and a non-finite float as None, written null."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_table(meta: dict, header: list, rows: list, fmt: str, out_path) -> None:
     if fmt == "json":
-        payload = {"meta": meta,
-                   "rows": [dict(zip(header, row)) for row in rows]}
-        text = json.dumps(payload, indent=1, default=_fmt) + "\n"
+        payload = {"meta": {k: _json_value(v) for k, v in meta.items()},
+                   "rows": [{h: _json_value(v) for h, v in zip(header, row)}
+                            for row in rows]}
+        text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
     else:
         lines = [f"# {k} = {v}" for k, v in meta.items()]
         lines.append(",".join(header))
@@ -233,7 +246,7 @@ def _single_sweep(args, allowed, default_var, default_value):
     return default_var, np.array([default_value])
 
 
-def cmd_spectrum(args) -> None:
+def cmd_spectrum(args):
     var, values = _single_sweep(args, ("e-field", "b-field"), "e-field",
                                 args.e_field)
     field = "e_field" if var == "e-field" else "b"
@@ -244,11 +257,10 @@ def cmd_spectrum(args) -> None:
                 for k in range(spec.dim)]
 
     rows = [r for chunk in _map_rows(one, values, args.jobs) for r in chunk]
-    write_table(_meta(args), [var, "level", "energy", "sz_sector"],
-                rows, args.format, args.out)
+    return [var, "level", "energy", "sz_sector"], rows
 
 
-def cmd_tangles(args) -> None:
+def cmd_tangles(args):
     var, values = _single_sweep(args, ("t", "e-field"), "t", args.t)
     params = _params(args)
     pairs = _ring_distance_pairs(params.n)
@@ -266,13 +278,12 @@ def cmd_tangles(args) -> None:
         return ([float(value), one_tangle(rho), float(_two_tangles(cs, params.n))]
                 + cs.tolist() + [chirality_expectation(rho)])
 
-    rows = _map_rows(one, values, args.jobs)
     header = ([var, "tau1", "tau2"]
               + [f"c_r{r}" for r, _ in pairs] + ["chirality"])
-    write_table(_meta(args), header, rows, args.format, args.out)
+    return header, _map_rows(one, values, args.jobs)
 
 
-def cmd_susceptibility(args) -> None:
+def cmd_susceptibility(args):
     var, values = _single_sweep(args, ("t",), "t", args.t)
     params = _params(args)
     # every temperature shares one spectrum
@@ -283,35 +294,25 @@ def cmd_susceptibility(args) -> None:
         return [t] + [_kubo(spec, field, t)
                       for field in (FieldTag.MAGNETIC, FieldTag.ELECTRIC)]
 
-    rows = _map_rows(one, values, args.jobs)
-    write_table(_meta(args), ["t", "chi_b", "chi_e"], rows, args.format, args.out)
+    return ["t", "chi_b", "chi_e"], _map_rows(one, values, args.jobs)
 
 
-def cmd_otto(args) -> None:
-    params = _params(args)
-    mode = CycleMode(args.mode)
+def cmd_otto(args):
     var, values = _single_sweep(args, ("e-field", "n"), "e-field", args.e_field)
+    p_high = args.e_field if var == "n" else float(values[-1])
+    spec = CycleSpec(_params(args), args.t_hot, args.t_cold, p_high,
+                     args.e_field_low, CycleMode(args.mode))
     if var == "n":
-        spec = CycleSpec(params, args.t_hot, args.t_cold,
-                         args.e_field, args.e_field_low, mode)
-        rows = [(n, eta, 1.0 - args.t_cold / args.t_hot)
-                for n, eta in size_scaling(spec, list(values))]
-        write_table(_meta(args), ["n", "eta", "carnot"], rows,
-                    args.format, args.out)
-        return
-    spec = CycleSpec(params, args.t_hot, args.t_cold,
-                     float(values[-1]), args.e_field_low, mode)
-    rows = [(r.p_high, r.ratio, r.eta_quantum, r.eta_thermo, r.tau2_hot,
-             r.tau1_hot, r.quantum_is_engine, r.thermo_is_engine, r.carnot)
-            for r in efficiency_sweep(spec, list(values))]
-    write_table(_meta(args),
-                ["e_field", "ratio", "eta_quantum", "eta_thermo",
-                 "tau2_hot", "tau1_hot", "quantum_is_engine",
-                 "thermo_is_engine", "carnot"],
-                rows, args.format, args.out)
+        return ["n", "eta", "carnot"], [
+            (n, eta, 1.0 - args.t_cold / args.t_hot)
+            for n, eta in size_scaling(spec, list(values))]
+    # the columns of a SweepRow, in its order
+    return (["e_field", "ratio", "eta_quantum", "eta_thermo", "tau2_hot",
+             "tau1_hot", "quantum_is_engine", "thermo_is_engine", "carnot"],
+            [astuple(r) for r in efficiency_sweep(spec, list(values))])
 
 
-def cmd_semiclassical(args) -> None:
+def cmd_semiclassical(args):
     cfg = ScConfig(args.j1, args.b_field)
     sweeps = args.sweep or []
     t_sweep = next((s for s in sweeps if s[0] == "t"), None)
@@ -328,37 +329,34 @@ def cmd_semiclassical(args) -> None:
             return [t, p, free_energy_sc(t, p, cfg), s,
                     s >= 0.0 and perturbation_valid(t, p, cfg)]
 
-        rows = _map_rows(one, points, args.jobs)
-        write_table(_meta(args), ["t", "e_field", "f_sc", "s_sc", "valid"],
-                    rows, args.format, args.out)
-        return
+        return (["t", "e_field", "f_sc", "s_sc", "valid"],
+                _map_rows(one, points, args.jobs))
 
     def one(p):
         return [float(p), efficiency_sc(args.t_cold, args.t_hot, float(p),
                                         args.e_field_low, cfg)]
 
-    rows = _map_rows(one, p_values, args.jobs)
-    write_table(_meta(args), ["e_field", "eta_sc"], rows, args.format, args.out)
+    return ["e_field", "eta_sc"], _map_rows(one, p_values, args.jobs)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     results = validation.run_all()
-    rows = [(r.name, r.max_deviation, r.tolerance, r.passed) for r in results]
-    write_table(_meta(args), ["check", "max_deviation", "tolerance", "passed"],
-                rows, args.format, args.out)
     for r in results:
         log.info("%-35s max dev %.3e (tol %.0e) %s",
                  r.name, r.max_deviation, r.tolerance,
                  "pass" if r.passed else "FAIL")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
+    return (["check", "max_deviation", "tolerance", "passed"],
+            [(r.name, r.max_deviation, r.tolerance, r.passed) for r in results])
 
 
+# each command returns the (header, rows) of its table
 COMMANDS = {
     "spectrum": cmd_spectrum,
     "tangles": cmd_tangles,
     "susceptibility": cmd_susceptibility,
     "otto": cmd_otto,
     "semiclassical": cmd_semiclassical,
+    "validate": cmd_validate,
 }
 
 
@@ -369,10 +367,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, argv)
-        if args.command == "validate":
-            return cmd_validate(args)
-        COMMANDS[args.command](args)
-        return EXIT_OK
+        header, rows = COMMANDS[args.command](args)
+        write_table(_meta(args), header, rows, args.format, args.out)
     except (ParameterError, TemperatureError, ValueError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
@@ -380,6 +376,9 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    if args.command == "validate" and not all(passed for *_, passed in rows):
+        return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

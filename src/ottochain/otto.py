@@ -159,7 +159,7 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
     hot_lo, cold_lo = gibbs(lo, spec.t_hot).populations, gibbs(lo, spec.t_cold).populations
     n, layout = spec.params.n, lo.layout
     hot = np.empty((min(len(p_grid), _per_stack(layout)), layout.size), dtype=complex)
-    pairs = zip(maps, order)    # maps first, so that the walk runs to its end and logs its counts
+    pairs = zip(maps, order)
     rows: list = [None] * len(p_grid)
     passes = 0
     while chunk := list(islice(pairs, len(hot))):

@@ -488,43 +488,46 @@ def _level_maps(params: ChainParams, fields):
     with the spectrum at its field.  The distinct fields are walked in the
     given order and solved a stack of at most STACK_BYTES at a time, in
     (s^z, k) blocks for the walk and in s^z blocks for the spectra; a field
-    equal to the one before it is not solved again.  When the last map is
-    out, the walk's counts are added to COUNTS and logged at DEBUG level."""
+    equal to the one before it is not solved again.  When the walk runs
+    to its end, fails or is closed, its counts are added to COUNTS and
+    logged at DEBUG level."""
     fields = np.asarray(fields, dtype=float)
     new = np.flatnonzero(np.r_[True, np.diff(fields) != 0])
     repeats, distinct = np.diff(np.r_[new, fields.size]), fields[new]
     layout = _ring_plan(params.n)[0]
     per_stack = _per_stack(layout)
     walk = _Walk(params)
-    last = None         # the field before a stack and its momentum blocks
-    for first in range(0, distinct.size, per_stack):
-        chunk = distinct[first:first + per_stack]
-        solved, (energies, vectors) = walk.solve(chunk), _solve_fields(params, chunk)
-        kept = _kept([(ev[:-1], vec[:-1]) for ev, vec in solved],
-                     [(ev[1:], vec[1:]) for ev, vec in solved])
-        worst = np.min([k.min(axis=(1, 2)) for k in kept], axis=0, initial=1.0)
-        for i, e in enumerate(chunk):
-            at = [(ev[i:i + 1], vec[i:i + 1]) for ev, vec in solved]
-            if i > 0 and worst[i - 1] ** 2 > 0.5:
-                walk.counts.worst_overlap = min(walk.counts.worst_overlap, float(worst[i - 1]))
-            elif last is not None:
-                move = walk.step(*last, e, at)
-                track = track if move is None else move[track]
-            spec = _spectrum(layout, energies[i], vectors[i])
-            index = _level_index(walk.plan, solved, i, spec)
-            if last is None:
-                origin, track = index, np.arange(index.size)
-            perm = np.empty(index.size, dtype=int)
-            perm[origin] = index[track]
-            for _ in range(repeats[first + i]):
-                yield LevelMap(perm, float(fields[0]), float(e), spec)
-            last = e, at
-        last = e, [(ev.copy(), vec.copy()) for ev, vec in at]
-    c = walk.counts
-    COUNTS.add(c)
-    log.debug("level map from e_field=%g over %d fields: %d fields solved, %d bisections, "
-              "%d exact crossings, worst in-block overlap %.6f", fields[0], fields.size,
-              c.fields, c.bisections, c.crossings, c.worst_overlap)
+    try:
+        last = None         # the field before a stack and its momentum blocks
+        for first in range(0, distinct.size, per_stack):
+            chunk = distinct[first:first + per_stack]
+            solved, (energies, vectors) = walk.solve(chunk), _solve_fields(params, chunk)
+            kept = _kept([(ev[:-1], vec[:-1]) for ev, vec in solved],
+                         [(ev[1:], vec[1:]) for ev, vec in solved])
+            worst = np.min([k.min(axis=(1, 2)) for k in kept], axis=0, initial=1.0)
+            for i, e in enumerate(chunk):
+                at = [(ev[i:i + 1], vec[i:i + 1]) for ev, vec in solved]
+                if i > 0 and worst[i - 1] ** 2 > 0.5:
+                    walk.counts.worst_overlap = min(walk.counts.worst_overlap, float(worst[i - 1]))
+                elif last is not None:
+                    move = walk.step(*last, e, at)
+                    track = track if move is None else move[track]
+                spec = _spectrum(layout, energies[i], vectors[i])
+                index = _level_index(walk.plan, solved, i, spec)
+                if last is None:
+                    origin, track = index, np.arange(index.size)
+                perm = np.empty(index.size, dtype=int)
+                perm[origin] = index[track]
+                for _ in range(repeats[first + i]):
+                    yield LevelMap(perm, float(fields[0]), float(e), spec)
+                last = e, at
+            last = e, [(ev.copy(), vec.copy()) for ev, vec in at]
+    finally:
+        c = walk.counts
+        COUNTS.add(c)
+        log.debug("level map from e_field=%g over %d fields: %d fields solved, %d bisections, "
+                  "%d exact crossings, worst in-block overlap %.6f", fields[0], fields.size,
+                  c.fields, c.bisections, c.crossings, c.worst_overlap)
 
 
 def continue_levels(params: ChainParams, e_from: float, e_to: float) -> LevelMap:

@@ -95,6 +95,7 @@ def check_entanglement_oracle() -> CheckResult:
     """Concurrences, tangles and chirality against the closed forms; the
     chirality both with the dense K and from the operator pattern."""
     worst = 0.0
+    k = build_chirality_operator(4)
     for j, b, d, t in _grid_points():
         params = ChainParams(4, j, -j, b, d)
         spec = diagonalize_params(params)
@@ -103,7 +104,6 @@ def check_entanglement_oracle() -> CheckResult:
         c12a, c13a = analytic4.concurrences4(der)
         c12 = concurrence(partial_trace(rho, [0, 1]))
         c13 = concurrence(partial_trace(rho, [0, 2]))
-        k = build_chirality_operator(4)
         devs = [
             abs(c12 - c12a), abs(c13 - c13a),
             abs(two_tangle(rho, 4) - analytic4.two_tangle4(der)),

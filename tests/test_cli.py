@@ -288,6 +288,37 @@ def test_validate_exits_clean(tmp_path):
     assert all(r[header.index("passed")] == "1" for r in rows)
 
 
+def strict_json(text):
+    """The JSON document `text`, rejecting the Infinity and NaN extensions."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_non_finite_values_as_null(tmp_path):
+    # a zero low field makes every field ratio infinite, which JSON wrote as
+    # a bare Infinity; an unused infinite flag reached the metadata the same way
+    args = ["otto", "--n", "2", "--e-field-low", "0", "--sweep", "e-field:1:2:2"]
+    _, text = run_cli(args, tmp_path)
+    header, rows = parse_csv(text)
+    assert [r[header.index("ratio")] for r in rows] == ["inf", "inf"]
+    _, text = run_cli(args + ["--format", "json"], tmp_path, "out.json")
+    assert [r["ratio"] for r in strict_json(text)["rows"]] == [None, None]
+    _, text = run_cli(["tangles", "--t-hot", "inf", "--format", "json"], tmp_path, "t.json")
+    assert strict_json(text)["meta"]["t_hot"] is None
+
+
+def test_validate_failure_exits_three(tmp_path, monkeypatch):
+    from ottochain import validation
+
+    monkeypatch.setattr(validation, "run_all",
+                        lambda: [validation.CheckResult("forced", 1.0, 1e-8)])
+    code, text = run_cli(["validate"], tmp_path)
+    assert code == 3
+    assert parse_csv(text) == (["check", "max_deviation", "tolerance", "passed"],
+                               [["forced", "1", "1e-08", "0"]])
+
+
 def test_json_format(tmp_path):
     code, text = run_cli(
         ["spectrum", "--n", "4", "--format", "json"], tmp_path, "out.json")

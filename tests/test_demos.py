@@ -1,6 +1,7 @@
 """Each demo script, and each command line of the README, runs to the end
 against the library in `src/`."""
 
+import json
 import os
 import shlex
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ottochain.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,3 +47,19 @@ def test_readme_command_exits_zero(command, rows, tmp_path):
         else proc.stdout
     lines = [line for line in out.splitlines() if not line.startswith("#")]
     assert len(lines) == 1 + rows
+
+
+@pytest.mark.parametrize("command,rows", zip(COMMANDS, ROWS), ids=COMMANDS)
+def test_readme_command_json_is_strict(command, rows, tmp_path):
+    # each README table as JSON, parsed without the Infinity and NaN
+    # extensions, dumps back to the same text
+    out = tmp_path / "out.json"
+    assert main(shlex.split(command)[1:] + ["--format", "json", "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = out.read_text()
+    payload = json.loads(text, parse_constant=reject)
+    assert len(payload["rows"]) == rows
+    assert json.dumps(payload, indent=1, allow_nan=False) + "\n" == text

@@ -481,6 +481,21 @@ def test_level_map_counts_are_logged(caplog):
         f"{bisections} bisections, {crossings} exact crossings, worst in-block overlap ")
 
 
+def test_failed_level_map_is_counted(caplog, monkeypatch):
+    # the walk from 0 to 10 at n=6 needs a bisection; with none allowed it
+    # raises after solving its two fields, which were neither counted nor logged
+    monkeypatch.setattr(spectra, "MAX_REFINEMENT", 1)
+    caplog.set_level(logging.DEBUG, logger="ottochain")
+    params = ChainParams(6, 1.0, -1.0, 1.0, 0.0)
+    before = copy.copy(spectra.COUNTS)
+    with pytest.raises(ContinuationError):
+        continue_levels(params, 0.0, 10.0)
+    assert spectra.COUNTS.fields - before.fields == 2
+    message, = [r.getMessage() for r in caplog.records if r.name == "ottochain"]
+    assert message.startswith("level map from e_field=0 over 2 fields: 2 fields solved, "
+                              "0 bisections, 0 exact crossings, worst in-block overlap ")
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_momentum_plan_equals_dense_oracle(n):
     # the (s^z, k) blocks summed from the pattern's nonzeros against the
