@@ -141,15 +141,16 @@ def build_chirality_operator(n: int) -> np.ndarray:
     return _dense(n, _pattern(n).k)
 
 
-def _field_free_values(params: ChainParams) -> np.ndarray:
-    """The ring Hamiltonian at e_field = 0 at the pattern's nonzeros, real."""
-    pat = _pattern(params.n)
+def _field_free_values(params: ChainParams, pat: _Pattern) -> np.ndarray:
+    """The ring Hamiltonian at e_field = 0 at the nonzeros of `pat`, the
+    pattern of the ring or a part of it, real."""
     return -params.j1 * pat.bond1 - params.j2 * pat.bond2 - params.b * pat.sz
 
 
 def _hamiltonian_values(params: ChainParams) -> np.ndarray:
     """The ring Hamiltonian at the pattern's nonzeros."""
-    return _field_free_values(params) - params.e_field * _pattern(params.n).k
+    pat = _pattern(params.n)
+    return _field_free_values(params, pat) - params.e_field * pat.k
 
 
 def build_hamiltonian(params: ChainParams) -> np.ndarray:

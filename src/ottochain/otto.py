@@ -99,20 +99,20 @@ def _carried(perm: np.ndarray, cold_lo: np.ndarray, hot_hi: np.ndarray):
 
 def run_cycle(spec: CycleSpec, level_map: LevelMap | None = None) -> CycleResult:
     """Evaluate one cycle.  A precomputed LevelMap from p_low to p_high may
-    be passed to calls that share it; the spectrum at p_high that the map
-    carries serves the cycle.  Without one, a quantum cycle walks its own
-    level map, whose spectra at both fields serve it."""
+    be passed to calls that share it; the spectra at both fields that the
+    map carries serve the cycle.  Without one, a quantum cycle walks its own
+    level map, and a thermodynamic one diagonalizes both fields."""
     params = spec.params
     if level_map is not None and (level_map.e_from, level_map.e_to) != (spec.p_low, spec.p_high):
         raise ValueError(f"level map from {level_map.e_from} to {level_map.e_to} does not "
                          f"join the cycle's fields {spec.p_low} and {spec.p_high}")
     if spec.mode is CycleMode.QUANTUM and level_map is None:
-        start, level_map = _level_maps(params, [spec.p_low, spec.p_high])
-        lo = start.spectrum
-    else:
+        _, level_map = _level_maps(params, [spec.p_low, spec.p_high])
+    if level_map is None:
         lo = diagonalize_params(params.replace(e_field=spec.p_low))
-    hi = (diagonalize_params(params.replace(e_field=spec.p_high)) if level_map is None
-          else level_map.spectrum)
+        hi = diagonalize_params(params.replace(e_field=spec.p_high))
+    else:
+        lo, hi = level_map.origin, level_map.spectrum
     hot_hi, cold_lo = gibbs(hi, spec.t_hot).populations, gibbs(lo, spec.t_cold).populations
     starts = (_carried(level_map.permutation, cold_lo, hot_hi) if spec.mode is CycleMode.QUANTUM
               else (gibbs(hi, spec.t_cold).populations, gibbs(lo, spec.t_hot).populations))
@@ -138,15 +138,17 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
     is not read; every row carries the quantum and the thermodynamic cycle.
 
     One level map walks from p_low through the grid in ascending order:
-    p_low and each node are solved once, and the walk's spectrum at each
-    node serves both cycles and the hot state of its row.  These spectra
-    are those of `diagonalize_params`, so every row is the cycle `run_cycle`
-    gives with the same map.  Each Gibbs state is evaluated once; the hot
-    one at a node also gives its row's hot state.  The hot states are
-    written a stack of at most STACK_BYTES at a time (70 fields at n=6, 5
-    at n=8, one from n=10 up), and the tangles of a stack come from one
-    stacked Wootters pass, the same numbers as `two_tangle` and
-    `one_tangle` give for each state.  The counts of hot states and of
+    p_low and each node are solved once, in (s^z, k) blocks, and the walk's
+    spectrum at each node serves both cycles and the hot state of its row.
+    These spectra agree with `diagonalize_params` to rounding (1e-12
+    relative), and every row is, bit for bit, the cycle `run_cycle` gives
+    with the same map, which carries the same spectra at p_low and at the
+    node.  Each Gibbs state is evaluated once; the hot one at a node also
+    gives its row's hot state, and every row shares one Carnot float.  The
+    hot states are written a stack of at most STACK_BYTES at a time (70
+    fields at n=6, 5 at n=8, one from n=10 up), and the tangles of a stack
+    come from one stacked Wootters pass, the same numbers as `two_tangle`
+    and `one_tangle` give for each state.  The counts of hot states and of
     stacked passes are logged at DEBUG level.
     """
     p_grid = [float(p) for p in p_grid]
@@ -161,6 +163,7 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
     hot = np.empty((min(len(p_grid), _per_stack(layout)), layout.size), dtype=complex)
     pairs = zip(maps, order)
     rows: list = [None] * len(p_grid)
+    carnot = 1.0 - spec.t_cold / spec.t_hot     # one float that every row shares
     passes = 0
     while chunk := list(islice(pairs, len(hot))):
         states = hot[:len(chunk)]
@@ -184,7 +187,7 @@ def efficiency_sweep(spec: CycleSpec, p_grid) -> list[SweepRow]:
                 tau1_hot=float(t1),
                 quantum_is_engine=quantum.is_engine,
                 thermo_is_engine=thermo.is_engine,
-                carnot=thermo.carnot,
+                carnot=carnot,
             )
     log.debug("efficiency sweep over %d fields: %d hot states in %d stacked tangle passes",
               len(p_grid), len(p_grid), passes)

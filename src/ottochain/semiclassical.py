@@ -22,11 +22,13 @@ against T; negative entropies flag the breakdown.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytic4 import spectrum4
+from .model import ParameterError
 from .thermal import TemperatureError, _check_t
 
 
@@ -54,9 +56,15 @@ def _shifted_sums(cfg: ScConfig, t: float):
     return e_ref, float(w.sum()), float(cfg.e0 @ w), float(ws.sum()), float(cfg.e_special @ ws)
 
 
+def _check_field(p: float) -> None:
+    if not math.isfinite(p):
+        raise ParameterError(f"electric field must be finite, got {p}")
+
+
 def free_energy_sc(t: float, p: float, cfg: ScConfig) -> float:
     """F0(T) - 16 p^2 A / (T Z0) with A the special-level Boltzmann sum."""
     _check_t(t)
+    _check_field(p)
     e_ref, z0, _, a, _ = _shifted_sums(cfg, t)
     return float(e_ref - t * np.log(z0) - 16.0 * p ** 2 * a / (t * z0))
 
@@ -64,6 +72,7 @@ def free_energy_sc(t: float, p: float, cfg: ScConfig) -> float:
 def entropy_sc(t: float, p: float, cfg: ScConfig) -> float:
     """S = -dF/dT of the perturbative free energy, in closed form."""
     _check_t(t)
+    _check_field(p)
     e_ref, z0, ze, a, ae = _shifted_sums(cfg, t)
     s0 = np.log(z0) - e_ref / t + (ze / z0) / t
     correction = (a / (t ** 2 * z0)

@@ -30,9 +30,12 @@ a step between two of them is bisected while some in-block overlap
 |<k(a)|k(b)>|^2 is not above 1/2, until it is an exact crossing, from a
 symmetry the labels miss: the largest overlaps permute the block's levels,
 and every pair they swap is degenerate at one end of the step (gap below
-1e-9 max(1, |E|)).  There the levels follow their overlaps.  The spectra
-come from the same fields solved in s^z blocks, where the levels of each
-sector are those of its (s^z, k) blocks paired by rank.
+1e-9 max(1, |E|)).  There the levels follow their overlaps.  The map's
+spectra come from the same solve: each basis state x lies in exactly one
+translation orbit, so its row of a level's s^z eigenvector is one row of the
+(s^z, k) block's eigenvectors, that of the orbit's smallest state, times
+e^{ik j_x}/sqrt(R_x), and the s^z blocks are gathered from the momentum
+blocks with no second eigensolve (Sandvik, arXiv:1101.3281 sec. 4).
 """
 
 from __future__ import annotations
@@ -44,10 +47,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ChainParams, _field_free_values, _pattern
+from .model import ChainParams, _Pattern, _field_free_values, _pattern
 
 # relative gap below which two levels of a block count as degenerate
 DEGENERATE = 1e-9
+# relative gap below which levels of different sectors count as tied, and
+# are ordered by magnetization: far above the rounding of any solve, far
+# below any gap that a symmetry does not close
+TIED = 1e-12
 # substeps a level map may cut one step between the caller's fields into:
 # enough for the gap of an exact crossing inside a step of 10 to fall below
 # DEGENERATE at a substep's end
@@ -95,24 +102,26 @@ class Spectrum:
 class LevelMap:
     """Adiabatic identification of levels between two field values.
 
-    permutation[i] is the level index at e_to of the level with index i at
-    e_from.  Both index the levels of `diagonalize_params` at their field,
-    in ascending order of the energy; levels exactly degenerate inside one
-    s^z sector are interchangeable.  The level keeps its (s^z, k) block and
-    its rank inside it, except across an exact crossing.  `spectrum` is the
-    spectrum at e_to, solved as `diagonalize_params` solves it, which gives
-    it bit for bit.
+    permutation[i] is the level index in `spectrum`, the spectrum at e_to,
+    of the level with index i in `origin`, the spectrum at e_from.  The
+    level keeps its (s^z, k) block and its rank inside it, except across an
+    exact crossing.  Both spectra come from the map's own solves in (s^z, k)
+    blocks.  Their levels are those of `diagonalize_params` at the same
+    field: the same s^z label at every index and the same energies up to
+    rounding (within 1e-12 relative), so levels degenerate inside one s^z
+    sector are interchangeable.
     """
 
     permutation: np.ndarray
     e_from: float
     e_to: float
     spectrum: Spectrum = field(repr=False, compare=False)
+    origin: Spectrum = field(repr=False, compare=False)
 
     def compose(self, later: "LevelMap") -> "LevelMap":
         """Map equivalent to following self and then `later`."""
         return LevelMap(later.permutation[self.permutation], self.e_from, later.e_to,
-                        later.spectrum)
+                        later.spectrum, self.origin)
 
 
 class _Layout(NamedTuple):
@@ -167,6 +176,19 @@ def _ring_plan(n: int) -> tuple[_Layout, np.ndarray]:
         mags = [layout.sectors[s][0] for s in members]
         assert mags in ([0], [-abs(mags[-1]), abs(mags[-1])]), mags
     return layout, _pattern_positions(layout)
+
+
+@lru_cache(maxsize=None)
+def _solved_pattern(n: int) -> tuple[_Pattern, np.ndarray]:
+    """The nonzeros of `_pattern(n)` in the blocks that `_solve_fields`
+    solves, sector 0 and the +v sectors, and their positions in the buffer
+    of `_ring_plan(n)`: the ring operators conserve s^z, so these are the
+    nonzeros in the rows of the states with s^z >= 0."""
+    pat = _pattern(n)
+    dim = 2 ** n
+    sz = pat.sz[pat.index % (dim + 1) == 0].real
+    keep = sz[pat.index // dim] >= 0
+    return _Pattern(*(a[keep] for a in pat)), _ring_plan(n)[1][keep]
 
 
 @lru_cache(maxsize=None)
@@ -259,18 +281,23 @@ def _solve_fields(params: ChainParams, fields) -> tuple[np.ndarray, np.ndarray]:
     buffers are filled in one assignment from the field-free values, with
     the terms of `_hamiltonian_values` in its order, so each field's blocks
     are bit for bit those of its own Hamiltonian.  Only sector 0 and the +v
-    sectors are solved, one stacked eigensolve per block size; each -v
-    block is the mirror of its +v block (see the module docstring)."""
-    layout, target = _ring_plan(params.n)
+    sectors are filled and solved, one stacked eigensolve per block size;
+    each -v block is the mirror of its +v block (see the module docstring)."""
+    layout = _ring_plan(params.n)[0]
+    pat, target = _solved_pattern(params.n)
     fields = np.asarray(fields, dtype=float)
     buf = np.zeros((fields.size, layout.size), dtype=complex)
-    buf[:, target] = _field_free_values(params) - fields[:, None] * _pattern(params.n).k
+    buf[:, target] = _field_free_values(params, pat) - fields[:, None] * pat.k
     energies = []
     for d, members, start in layout.groups:
         # the group is sector 0 alone or the pair (-v, v): solve its last block
         stop = start + members.size * d * d
         top = buf[:, stop - d * d:stop].reshape(-1, d, d)
-        ev, top[...] = _eigh(top)
+        if d == 1:
+            # the fully polarized sector: its one entry is its eigenvalue
+            ev, top[...] = top.real[:, 0].copy(), 1.0
+        else:
+            ev, top[...] = _eigh(top)
         if members.size == 2:
             np.conjugate(top[:, ::-1], out=buf[:, start:start + d * d].reshape(-1, d, d))
             energies.append(ev + 2.0 * params.b * layout.sectors[members[1]][0])
@@ -281,13 +308,26 @@ def _solve_fields(params: ChainParams, fields) -> tuple[np.ndarray, np.ndarray]:
 def _spectrum(layout: _Layout, energies: np.ndarray, vectors: np.ndarray) -> Spectrum:
     """The Spectrum of the eigenvalues `energies` and the eigenvector blocks
     `vectors` of one solve on `layout`, both in buffer order.  Its levels
-    are sorted by energy, then by magnetization, then by rank in their
-    sector: the order of a stable sort of the sectors' energies joined in
-    ascending magnetization."""
+    are sorted by energy, except inside runs of levels each closer than
+    TIED max(1, max|E|) to the next, which are sorted by magnetization and
+    then by buffer order: by rank in an s^z block, by block and then rank
+    among the (s^z, k) blocks of a sector.  So levels degenerate up to
+    rounding take the same places whichever solve, BLAS or platform rounds
+    them."""
     order = np.lexsort((layout.labels, energies))
+    e = energies[order]
+    # max|E| is -e[0] or e[-1]; count_nonzero is the cheapest test here
+    close = e[1:] - e[:-1] < TIED * max(1.0, -e[0], e[-1])
+    if np.count_nonzero(close):
+        key = layout.labels[order] * order.size + order     # magnetization, then buffer
+        if np.count_nonzero(close & (key[1:] < key[:-1])):
+            run = np.zeros(order.size, dtype=int)
+            np.cumsum(~close, out=run[1:])
+            order = order[np.lexsort((key, run))]
+            e = energies[order]
     levels = np.empty(order.size, dtype=int)
     levels[order] = np.arange(order.size)
-    return Spectrum(energies[order], layout.labels[order], layout, vectors, levels)
+    return Spectrum(e, layout.labels[order], layout, vectors, levels)
 
 
 def diagonalize_params(params: ChainParams) -> Spectrum:
@@ -298,32 +338,19 @@ def diagonalize_params(params: ChainParams) -> Spectrum:
     return _spectrum(_ring_plan(params.n)[0], energies[0], vectors[0])
 
 
-@lru_cache(maxsize=None)
-def _momentum_plan(n: int) -> tuple[_Layout, np.ndarray, np.ndarray]:
-    """The (s^z, k) blocks of the n-site ring: their layout, keyed by block
-    number; bond1, bond2, total s^z and K of `_pattern(n)` in that layout's
-    buffer, one row each; and the s^z sector (position in the sectors of
-    `_ring_plan(n)`) of each level of the layout, in buffer order, which is
-    the order in which `_eigh_stacks` lists the eigenvalues.  The
-    translation T moves every spin one site on.  An orbit of length R with
-    smallest state r carries |r, k> = R^-1/2 sum_j e^{-ikj} T^j |r> for
-    each k = 2 pi m / n with m R = 0 mod n, whose amplitude on x is
-    e^{ik j_x} / sqrt(R), with T^{j_x} x = r.  An operator O that commutes
-    with T has <a, k|O|b, k> = sqrt(R_a / R_b) sum_{y in b} O[r_a, y]
-    e^{ik j_y}, so the blocks are summed from the pattern's nonzeros in the
-    rows of the smallest states, with no dense s^z block."""
+def _momentum_blocks(n: int) -> tuple[tuple, list, _Layout]:
+    """The translation orbits and the (s^z, k) blocks of the n-site ring.
+    The translation T moves every spin one site on; per basis state x, the
+    orbits give the smallest state r of its orbit, the j_x with T^{j_x} x = r
+    and the orbit's length R.  The blocks are listed as (s^z sector, m,
+    smallest states), k = 2 pi m / n, sector after sector in the order of
+    the groups of `_ring_plan(n)`, with their layout, keyed by block number."""
     x = np.arange(2 ** n)
     images = np.array([((x >> j) | (x << (n - j))) & (x.size - 1) for j in range(n)])
     rep, shift = images.min(axis=0), images.argmin(axis=0)
     period = np.argmax(np.vstack([images[1:], images[:1]]) == x, axis=0) + 1
-    pat = _pattern(n)
-    row, col = np.divmod(pat.index, x.size)
-    on_rep = rep[row] == row
-    row, col = row[on_rep], col[on_rep]
-    values = (np.array([pat.bond1, pat.bond2, pat.sz, pat.k])[:, on_rep]
-              * np.sqrt(period[row] / period[col]))
     ring = _ring_plan(n)[0]
-    blocks = []     # (s^z sector, m, smallest states) of every (s^z, k) block
+    blocks = []
     for s in (s for _, members, _ in ring.groups for s in members):
         basis = ring.sectors[s][1]
         for m in range(n):
@@ -331,6 +358,30 @@ def _momentum_plan(n: int) -> tuple[_Layout, np.ndarray, np.ndarray]:
             if reps.size:
                 blocks.append((s, m, reps))
     layout = _layout({b: np.arange(reps.size) for b, (_, _, reps) in enumerate(blocks)})
+    return (rep, shift, period), blocks, layout
+
+
+@lru_cache(maxsize=None)
+def _momentum_plan(n: int) -> tuple[_Layout, np.ndarray, np.ndarray]:
+    """The (s^z, k) blocks of the n-site ring: their layout, keyed by block
+    number; bond1, bond2, total s^z and K of `_pattern(n)` in that layout's
+    buffer, one row each; and the s^z sector (position in the sectors of
+    `_ring_plan(n)`) of each level of the layout, in buffer order, which is
+    the order in which `_eigh_stacks` lists the eigenvalues.  An orbit of
+    length R with smallest state r carries |r, k> = R^-1/2 sum_j e^{-ikj}
+    T^j |r> for each k = 2 pi m / n with m R = 0 mod n, whose amplitude on x
+    is e^{ik j_x} / sqrt(R), with T^{j_x} x = r.  An operator O that
+    commutes with T has <a, k|O|b, k> = sqrt(R_a / R_b) sum_{y in b}
+    O[r_a, y] e^{ik j_y}, so the blocks are summed from the pattern's
+    nonzeros in the rows of the smallest states, with no dense s^z block."""
+    (rep, shift, period), blocks, layout = _momentum_blocks(n)
+    dim = rep.size
+    pat = _pattern(n)
+    row, col = np.divmod(pat.index, dim)
+    on_rep = rep[row] == row
+    row, col = row[on_rep], col[on_rep]
+    values = (np.array([pat.bond1, pat.bond2, pat.sz, pat.k])[:, on_rep]
+              * np.sqrt(period[row] / period[col]))
     offset = np.empty(len(blocks), dtype=int)
     for d, members, start in layout.groups:
         offset[members] = start + d * d * np.arange(members.size)
@@ -338,7 +389,7 @@ def _momentum_plan(n: int) -> tuple[_Layout, np.ndarray, np.ndarray]:
     for m in range(n):
         # per smallest state: the buffer position of its row and its
         # position in its block of momentum m, -1 where m is not allowed
-        head, local = np.full(x.size, -1), np.full(x.size, -1)
+        head, local = np.full(dim, -1), np.full(dim, -1)
         for b, (_, mb, reps) in enumerate(blocks):
             if mb == m:
                 local[reps] = np.arange(reps.size)
@@ -354,25 +405,67 @@ def _momentum_plan(n: int) -> tuple[_Layout, np.ndarray, np.ndarray]:
             np.array([s for s, _, _ in blocks])[layout.labels])
 
 
-def _level_index(plan, solved, i: int, spec: Spectrum) -> np.ndarray:
-    """For every stack position of field i of `solved` (the blocks of
-    `plan`, as `_eigh_stacks` returns them), the index of its level in
-    `spec`, the s^z-block spectrum at the same field: inside each s^z
-    sector the two solves list the same energies, up to rounding, and
-    their levels are paired by rank.  Levels of one sector closer than
-    DEGENERATE max(1, |E|) to the one below them count as equal energies
-    and keep the order of position, so that the pairing does not hang on
-    the last bits of the solve; equal energies of `spec` keep the order of
-    index."""
-    energies = np.concatenate([ev[i].ravel() for ev, _ in solved])
-    by_energy = np.lexsort((energies, plan[2]))
-    e, sector = energies[by_energy], plan[2][by_energy]
-    apart = (sector[1:] != sector[:-1]) | (
-        e[1:] - e[:-1] >= DEGENERATE * np.maximum(1.0, np.abs(e[1:])))
-    run = np.cumsum(np.concatenate(([True], apart)))
-    index = np.empty(energies.size, dtype=int)
-    index[by_energy[np.lexsort((by_energy, run))]] = np.argsort(spec.sz_sector, kind="stable")
-    return index
+@lru_cache(maxsize=None)
+def _gather_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """How the eigenvectors of the (s^z, k) blocks of `_momentum_plan(n)`
+    fill the s^z blocks of `_ring_plan(n)`.  Each sector lists its levels
+    block after block, in the order of `_momentum_blocks`.  Every basis
+    state x lies in one orbit, so in a level of the block (v, k) its
+    amplitude is e^{ik j_x} / sqrt(R_x) times the amplitude on the orbit's
+    smallest state, and none where k does not fit the orbit.  Returns the
+    stack position in the momentum layout (the order in which
+    `_eigh_stacks` lists the eigenvalues) of each level of the ring layout,
+    in buffer order; its inverse; and, per group of the momentum layout and
+    for every pair of a state x and a block of the group whose k fits x's
+    orbit: the row of the group's (m d, d) stack of eigenvectors that holds
+    the orbit's smallest state, that factor, and the buffer position of x's
+    row in the ring layout at the block's first level.  These are
+    O(n 2^n) numbers; the ring buffer itself is O(4^n / sqrt(n))."""
+    (rep, shift, period), blocks, layout = _momentum_blocks(n)
+    ring = _ring_plan(n)[0]
+    # the blocks come sector after sector in the ring's order, so a stable
+    # sort of the momentum levels by block gives the ring's level order
+    order = np.argsort(layout.labels, kind="stable")
+    column, filled = [], {}         # each block's first column in its sector
+    for s, _, reps in blocks:
+        column.append(filled.get(s, 0))
+        filled[s] = column[-1] + reps.size
+    head = _placement(ring)[1]
+    groups = []
+    for d, members, _ in layout.groups:
+        rows, factors, heads = [], [], []
+        for j, b in enumerate(members):
+            s, m, reps = blocks[b]
+            basis = ring.sectors[s][1]
+            x = basis[m * period[basis] % n == 0]
+            rows.append(j * d + np.searchsorted(reps, rep[x]))
+            factors.append(np.exp(2j * np.pi * m * shift[x] / n) / np.sqrt(period[x]))
+            heads.append(head[x] + column[b])
+        groups.append((np.concatenate(rows), np.concatenate(factors), np.concatenate(heads)))
+    return order, np.argsort(order), tuple(groups)
+
+
+def _momentum_spectra(n: int, solved) -> list[tuple[Spectrum, np.ndarray]]:
+    """Per field of `solved`, the (s^z, k) blocks of the n-site ring as
+    `_eigh_stacks` returns them: its Spectrum on the ring layout, and the
+    index in it of the level at every stack position of the momentum
+    layout.  The eigenvectors of all fields are gathered in one pass per
+    group of the momentum layout (see `_gather_plan`)."""
+    ring = _ring_plan(n)[0]
+    order, place, groups = _gather_plan(n)
+    c = solved[0][0].shape[0]
+    energies = np.concatenate([ev.reshape(c, -1) for ev, _ in solved], axis=1)[:, order]
+    vectors = np.zeros((c, ring.size), dtype=complex)
+    for (_, vec), (rows, factors, heads) in zip(solved, groups):
+        d = vec.shape[-1]
+        amps = np.take(vec.reshape(c, -1, d), rows, axis=1)
+        amps *= factors[:, None]
+        vectors[:, (heads[:, None] + np.arange(d)).ravel()] = amps.reshape(c, -1)
+    out = []
+    for e, v in zip(energies, vectors):
+        spec = _spectrum(ring, e, v)
+        out.append((spec, spec.levels[place]))
+    return out
 
 
 class LevelMapCounts:
@@ -485,41 +578,39 @@ def _per_stack(layout) -> int:
 
 def _level_maps(params: ChainParams, fields):
     """The level maps from fields[0] to each of `fields`, in order, each
-    with the spectrum at its field.  The distinct fields are walked in the
-    given order and solved a stack of at most STACK_BYTES at a time, in
-    (s^z, k) blocks for the walk and in s^z blocks for the spectra; a field
-    equal to the one before it is not solved again.  When the walk runs
-    to its end, fails or is closed, its counts are added to COUNTS and
+    with the spectra at fields[0] and at its field.  The distinct fields are
+    walked in the given order and solved a stack of at most STACK_BYTES at a
+    time, in (s^z, k) blocks, which give both the walk and the spectra; a
+    field equal to the one before it is not solved again.  When the walk
+    runs to its end, fails or is closed, its counts are added to COUNTS and
     logged at DEBUG level."""
     fields = np.asarray(fields, dtype=float)
     new = np.flatnonzero(np.r_[True, np.diff(fields) != 0])
     repeats, distinct = np.diff(np.r_[new, fields.size]), fields[new]
-    layout = _ring_plan(params.n)[0]
-    per_stack = _per_stack(layout)
+    per_stack = _per_stack(_ring_plan(params.n)[0])
     walk = _Walk(params)
     try:
         last = None         # the field before a stack and its momentum blocks
         for first in range(0, distinct.size, per_stack):
             chunk = distinct[first:first + per_stack]
-            solved, (energies, vectors) = walk.solve(chunk), _solve_fields(params, chunk)
+            solved = walk.solve(chunk)
+            specs = _momentum_spectra(params.n, solved)
             kept = _kept([(ev[:-1], vec[:-1]) for ev, vec in solved],
                          [(ev[1:], vec[1:]) for ev, vec in solved])
             worst = np.min([k.min(axis=(1, 2)) for k in kept], axis=0, initial=1.0)
-            for i, e in enumerate(chunk):
+            for i, (e, (spec, index)) in enumerate(zip(chunk, specs)):
                 at = [(ev[i:i + 1], vec[i:i + 1]) for ev, vec in solved]
                 if i > 0 and worst[i - 1] ** 2 > 0.5:
                     walk.counts.worst_overlap = min(walk.counts.worst_overlap, float(worst[i - 1]))
                 elif last is not None:
                     move = walk.step(*last, e, at)
                     track = track if move is None else move[track]
-                spec = _spectrum(layout, energies[i], vectors[i])
-                index = _level_index(walk.plan, solved, i, spec)
                 if last is None:
-                    origin, track = index, np.arange(index.size)
+                    origin, start, track = spec, index, np.arange(index.size)
                 perm = np.empty(index.size, dtype=int)
-                perm[origin] = index[track]
+                perm[start] = index[track]
                 for _ in range(repeats[first + i]):
-                    yield LevelMap(perm, float(fields[0]), float(e), spec)
+                    yield LevelMap(perm, float(fields[0]), float(e), spec, origin)
                 last = e, at
             last = e, [(ev.copy(), vec.copy()) for ev, vec in at]
     finally:
@@ -532,7 +623,7 @@ def _level_maps(params: ChainParams, fields):
 
 def continue_levels(params: ChainParams, e_from: float, e_to: float) -> LevelMap:
     """The level map from e_field=e_from to e_field=e_to, which carries the
-    spectrum at e_to; see the module docstring."""
+    spectra at both fields; see the module docstring."""
     if not (np.isfinite(e_from) and np.isfinite(e_to)):
         raise ValueError(f"fields must be finite, got {e_from} and {e_to}")
     return list(_level_maps(params, [e_from, e_to]))[-1]

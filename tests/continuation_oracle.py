@@ -118,7 +118,7 @@ def continue_levels(params: ChainParams, e_from: float, e_to: float,
     if start is None:
         start = diagonalize_params(params.replace(e_field=float(e_from)))
     if e_from == e_to:
-        return LevelMap(np.arange(dim), e_from, e_to, start)
+        return LevelMap(np.arange(dim), e_from, e_to, start, start)
 
     grid = np.linspace(e_from, e_to, steps + 1)
     layout = _ring_plan(params.n)[0]
@@ -142,7 +142,7 @@ def continue_levels(params: ChainParams, e_from: float, e_to: float,
                     np.concatenate([vec[0].ravel() for _, vec in prev]))
     perm = np.empty(dim, dtype=int)
     perm[start.levels] = end.levels[track]
-    return LevelMap(perm, e_from, e_to, end)
+    return LevelMap(perm, e_from, e_to, end, start)
 
 
 def _join(earlier, later) -> list[tuple[np.ndarray, np.ndarray]]:

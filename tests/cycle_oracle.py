@@ -48,8 +48,8 @@ def run_cycle(spec):
     """`otto.run_cycle` without a precomputed level map, through `cycle`."""
     params = spec.params
     if spec.mode is CycleMode.QUANTUM:
-        start, level_map = _level_maps(params, [spec.p_low, spec.p_high])
-        return cycle(level_map.spectrum, start.spectrum, spec.t_hot, spec.t_cold,
+        _, level_map = _level_maps(params, [spec.p_low, spec.p_high])
+        return cycle(level_map.spectrum, level_map.origin, spec.t_hot, spec.t_cold,
                      level_map.permutation)
     return cycle(diagonalize_params(params.replace(e_field=spec.p_high)),
                  diagonalize_params(params.replace(e_field=spec.p_low)),

@@ -495,6 +495,20 @@ def test_infinite_temperature_is_a_parameter_error(tmp_path, capsys, flags):
     assert "parameter error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--e-field", "inf"],
+    ["--e-field-low", "inf"],
+    ["--e-field=-inf"],
+    ["--e-field", "nan", "--sweep", "t:1:5:3"],
+])
+def test_semiclassical_non_finite_field_is_a_parameter_error(tmp_path, capsys, flags):
+    # the first two exited 0 with eta_sc = nan, the last with rows of nan
+    code, text = run_cli(["semiclassical"] + flags, tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "parameter error: electric field must be finite" in capsys.readouterr().err
+
+
 def test_overflow_is_a_numeric_failure(tmp_path, capsys):
     # t ** 2 in entropy_sc overflows; this died with a traceback
     code, text = run_cli(["semiclassical", "--sweep", "t:1e308:1e308:1"], tmp_path)

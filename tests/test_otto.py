@@ -131,7 +131,7 @@ def count_solves(monkeypatch):
     """The fields solved from now on, one entry per field of every stack:
     in s^z blocks by `spectra._solve_fields`, which solves every
     `diagonalize_params`, and in (s^z, k) blocks by the level maps'
-    `spectra._Walk.solve`."""
+    `spectra._Walk.solve`, which gives both their walk and their spectra."""
     calls = []
     solve, walk_solve = spectra._solve_fields, spectra._Walk.solve
 
@@ -158,7 +158,7 @@ def check_readme_sweep(monkeypatch, t_hot, entangled):
     t_cold = t_hot / 3
     calls = count_solves(monkeypatch)
     rows = efficiency_sweep(CycleSpec(params, t_hot, t_cold, 14.0, 3.5), grid)
-    assert calls == 2 * grid.tolist()
+    assert calls == grid.tolist()
     monkeypatch.undo()
     assert sum(row.tau2_hot > 0.0 for row in rows) == entangled
 
@@ -184,9 +184,9 @@ def check_readme_sweep(monkeypatch, t_hot, entangled):
 def test_readme_sweep_diagonalizes_each_field_once(monkeypatch):
     # the README's e-field sweep: p_low, which is also the first node, and
     # the 21 other nodes, each solved once by the level map, in one stack of
-    # (s^z, k) blocks for the walk and one of s^z blocks for the spectra,
-    # which serve both cycles and the tangles; no step is bisected.  The
-    # overlap-following continuation solved 673 fields, 803 before the reuse.
+    # (s^z, k) blocks that gives the walk and the spectra, which serve both
+    # cycles and the tangles; no step is bisected.  The overlap-following
+    # continuation solved 673 fields, 803 before the reuse.
     # tau_2 of the hot state vanishes on every field at T_hot=30
     check_readme_sweep(monkeypatch, 30.0, 0)
 
@@ -276,8 +276,10 @@ def test_sweep_tangles_take_one_stacked_wootters_pass_per_stack(monkeypatch, n, 
     rows = efficiency_sweep(CycleSpec(params, 5.0, 2.0, 14.0, 3.5), grid)
     assert calls == [f * (n // 2) for f in stacks]
     monkeypatch.undo()
-    for p, row in zip(grid, rows):
-        hot = density_matrix(gibbs(diagonalize_params(params.replace(e_field=float(p))), 5.0))
+    # the sweep's spectra are its level map's
+    maps = list(spectra._level_maps(params, np.r_[3.5, grid]))[1:]
+    for level_map, row in zip(maps, rows):
+        hot = density_matrix(gibbs(level_map.spectrum, 5.0))
         assert row.tau2_hot == two_tangle(hot, n)
         assert row.tau1_hot == one_tangle(hot)
 
@@ -292,24 +294,32 @@ def test_sweep_rows_and_cycle_results_have_slots():
 
 
 def test_quantum_cycle_reuses_the_continuation_spectrum(monkeypatch):
-    # p_low and p_high, solved by the level map in (s^z, k) blocks and in
-    # s^z blocks, whose spectra at both fields serve the cycle
+    # p_low and p_high, solved once each by the level map in (s^z, k)
+    # blocks, whose spectra at both fields serve the cycle
     calls = count_solves(monkeypatch)
     cycle(4.5, mode=CycleMode.QUANTUM)
-    assert calls == [3.5, 4.5, 3.5, 4.5]
+    assert calls == [3.5, 4.5]
 
 
 @pytest.mark.parametrize("mode", [CycleMode.THERMO, CycleMode.QUANTUM])
 def test_mapped_cycle_reuses_the_map_spectrum(monkeypatch, mode):
-    # a map that reaches p_high carries its spectrum there: only p_low is
-    # solved, and the cycle is the one computed without the map
+    # a map carries its spectra at p_low and p_high: nothing is solved, and
+    # the cycle is the one computed without the map.  The quantum cycle
+    # walks the same map without one and gives the same bits; the
+    # thermodynamic one then diagonalizes both fields in s^z blocks, whose
+    # energies agree with the map's (s^z, k) solve to rounding
     level_map = continue_levels(RING, 3.5, 9.0)
     spec = CycleSpec(RING, 30.0, 10.0, 9.0, 3.5, mode)
     calls = count_solves(monkeypatch)
     with_map = run_cycle(spec, level_map=level_map)
-    assert calls == [3.5]
+    assert calls == []
     monkeypatch.undo()
-    assert with_map == run_cycle(spec)
+    without = run_cycle(spec)
+    if mode is CycleMode.QUANTUM:
+        assert with_map == without
+    else:
+        assert with_map.is_engine == without.is_engine
+        assert astuple(with_map)[:5] == pytest.approx(astuple(without)[:5], abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", [CycleMode.THERMO, CycleMode.QUANTUM])

@@ -8,9 +8,11 @@ import continuation_oracle as oracle
 from continuation_oracle import _match, _stacked
 from dense_oracle import dense_momentum_plan, dense_states, sector_blocks
 from ottochain.analytic4 import spectrum4
+from ottochain.correlations import density_matrix
 from ottochain.model import ChainParams, build_hamiltonian, build_total_sz
 from ottochain import spectra
 from ottochain.otto import CycleMode, CycleSpec, run_cycle
+from ottochain.thermal import gibbs
 from ottochain.spectra import (ContinuationError, DiagonalizationError,
                                _eigh_stacks, _layout, _ring_plan, _spectrum,
                                continue_levels, diagonalize_params)
@@ -289,6 +291,37 @@ def test_spin_flip_mirrors_sector_pairs(n):
             assert np.all(np.abs(spec.energies[down] - shifted) <= 1e-12 * scale)
             if b == 0.0:
                 assert np.array_equal(spec.energies[down], spec.energies[up])
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_level_map_spectra_equal_diagonalize_params(n):
+    # the level maps' spectra, gathered from their (s^z, k) solve, against
+    # the s^z solve of diagonalize_params, which stays the oracle: the same
+    # s^z label at every index, the energies to 1e-12 relative and the
+    # thermal states to 1e-10, on random couplings of either sign, at zero
+    # field (where more levels are degenerate across sectors) and beyond.
+    # Three fields in one stack, and one field as continue_levels solves it
+    rng = np.random.default_rng(n)
+    fields = [0.0, 1.7, -4.0]
+    for b in (0.0, 0.8, -1.3):
+        j1, j2 = rng.uniform(-2.0, 2.0, 2)
+        params = ChainParams(n, j1, j2, b, 0.0)
+        blocks = spectra._Walk(params).solve(fields)
+        solved = spectra._momentum_spectra(n, blocks)
+        # the index of each level of the momentum blocks is that level
+        levels = np.concatenate([ev.reshape(len(fields), -1) for ev, _ in blocks], axis=1)
+        for (spec, index), ev in zip(solved, levels):
+            assert np.array_equal(spec.energies[index], ev)
+        level_map = continue_levels(params, 1.7, 1.7)
+        got = [spec for spec, _ in solved] + [level_map.origin, level_map.spectrum]
+        for p, spec in zip(fields + [1.7, 1.7], got):
+            want = diagonalize_params(params.replace(e_field=p))
+            assert np.array_equal(spec.sz_sector, want.sz_sector), (b, p)
+            scale = max(1.0, float(np.abs(want.energies).max()))
+            assert np.max(np.abs(spec.energies - want.energies)) <= 1e-12 * scale
+            for t in (0.3, 5.0):
+                rho, rho_want = (density_matrix(gibbs(s, t)) for s in (spec, want))
+                assert np.max(np.abs(rho.buffer - rho_want.buffer)) <= 1e-10
 
 
 # (path, steps): the two fields alone, 16 steps and a single step, over
